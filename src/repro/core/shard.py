@@ -31,17 +31,18 @@ Two admission probes are offered:
     sound variant the online controller (and the ``GIVEN``-order batch
     oracle) uses.  Cost: ``O(affected test points)``.
 
-The prefix arrays are rebuilt left-to-right from the sorted entry list on
-every mutation, so every derived float is a pure function of the shard's
-*contents* -- independent of the add/remove history.  That is what lets the
-online controller's incrementally-maintained shards compare bit-for-bit
-against shards freshly built by a from-scratch batch re-analysis.
+A mutation re-sums the prefix arrays left-to-right from the touched index
+onward, continuing from the unchanged prefix, so every derived float is a
+pure function of the shard's *contents* -- independent of the add/remove
+history.  That is what lets the online controller's incrementally-maintained
+shards compare bit-for-bit against shards freshly built by a from-scratch
+batch re-analysis.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -98,28 +99,41 @@ class ShardState:
         self._entries: list[tuple[float, int, SporadicTask]] = sorted(
             (task.deadline, rank, task) for task, rank in entries
         )
-        self._rebuild()
+        self._deadlines: list[float] = []
+        self._cum_wcet: list[float] = []
+        self._cum_util: list[float] = []
+        self._cum_util_deadline: list[float] = []
+        self._resum_from(0)
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        """Recompute the prefix-sum arrays from the sorted entry list."""
-        self._deadlines = [d for d, _, _ in self._entries]
-        cum_wcet: list[float] = []
-        cum_util: list[float] = []
-        cum_util_deadline: list[float] = []
-        wcet_sum = util_sum = util_deadline_sum = 0.0
-        for deadline, _, task in self._entries:
+    def _resum_from(self, i: int) -> None:
+        """Recompute the prefix-sum arrays from entry *i* onward.
+
+        The sums continue from ``cum[i - 1]`` with the same left-to-right
+        additions a full rebuild performs, so the result is bit-identical
+        to ``ShardState(entries)``.
+        """
+        deadlines = self._deadlines
+        cum_wcet = self._cum_wcet
+        cum_util = self._cum_util
+        cum_util_deadline = self._cum_util_deadline
+        del deadlines[i:], cum_wcet[i:], cum_util[i:], cum_util_deadline[i:]
+        if i:
+            wcet_sum = cum_wcet[-1]
+            util_sum = cum_util[-1]
+            util_deadline_sum = cum_util_deadline[-1]
+        else:
+            wcet_sum = util_sum = util_deadline_sum = 0.0
+        for deadline, _, task in self._entries[i:]:
             wcet_sum += task.wcet
             util_sum += task.utilization
             util_deadline_sum += task.utilization * deadline
+            deadlines.append(deadline)
             cum_wcet.append(wcet_sum)
             cum_util.append(util_sum)
             cum_util_deadline.append(util_deadline_sum)
-        self._cum_wcet = cum_wcet
-        self._cum_util = cum_util
-        self._cum_util_deadline = cum_util_deadline
         # Lazily-built numpy mirrors of the prefix arrays (vectorized probe).
         self._arrays: tuple[np.ndarray, ...] | None = None
 
@@ -143,8 +157,10 @@ class ShardState:
 
     def add(self, task: SporadicTask, rank: int) -> None:
         """Insert *task* with the canonical tie-break *rank*."""
-        insort(self._entries, (task.deadline, rank, task))
-        self._rebuild()
+        entry = (task.deadline, rank, task)
+        i = bisect_right(self._entries, entry)
+        self._entries.insert(i, entry)
+        self._resum_from(i)
 
     def remove(self, name: str) -> SporadicTask:
         """Remove (and return) the task called *name*.
@@ -157,7 +173,7 @@ class ShardState:
         for i, (_, _, task) in enumerate(self._entries):
             if task.name == name:
                 del self._entries[i]
-                self._rebuild()
+                self._resum_from(i)
                 return task
         raise AnalysisError(f"no task named {name!r} on this shard")
 
@@ -232,10 +248,11 @@ class ShardState:
         Decision-equivalent to the historical ``_fits_demand`` bucket scan;
         sound only under non-decreasing-deadline placement order.
         """
-        demand = self.demand(task.deadline)
-        if task.deadline - demand < task.wcet - _TOL:
+        # The O(1) rate condition first: on a crowded shard it rejects most
+        # probes before the bisect and the demand read.
+        if not 1.0 - self.utilization >= task.utilization - _TOL:
             return False
-        return 1.0 - self.utilization >= task.utilization - _TOL
+        return not task.deadline - self.demand(task.deadline) < task.wcet - _TOL
 
     def fits_all_points(self, task: SporadicTask) -> bool:
         """Order-independently sound ``DBF*`` admission probe.

@@ -42,7 +42,16 @@ same task-to-bucket assignment.  The supporting invariants:
    in the incremental state equals its probe sequence in the re-analysis;
 4. after a low-density departure, tasks admitted *before* it are unaffected
    (their probes never saw it) and tasks admitted after are replayed
-   first-fit from the surviving prefix -- which is precisely the re-analysis.
+   first-fit from the surviving prefix -- which is precisely the re-analysis;
+5. in that replay, a bucket whose contents below a task's seq are unchanged
+   gives the verdict the task's own placement saw (ledger floats depend only
+   on contents): ``False`` below the task's old bucket ``h`` and ``True`` at
+   ``h``.  So only the buckets the replay *changed* -- the departed task's,
+   and any that lost or gained an earlier entry -- need probing below ``h``;
+   if none fits and ``h`` is unchanged the task stays at ``h`` unprobed.
+   :meth:`AdmissionController._replay_changed` is that fast path; it runs
+   only while :attr:`canonical` holds, and :meth:`compact` and non-canonical
+   states use the reference full replay.
 
 First-fit is not monotone under removal: very rarely, the replay after a
 departure cannot place every surviving task.  The compaction pass is
@@ -58,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from bisect import insort
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -1057,7 +1067,10 @@ class AdmissionController:
         clean = True
         if self._repack:
             occupied_before = sum(1 for b in self._buckets if b)
-            migrations, clean = self._replay_suffix(entry.seq)
+            if self._canonical:
+                migrations, clean = self._replay_changed(entry.seq, entry.bucket)
+            else:
+                migrations, clean = self._replay_suffix(entry.seq)
             if clean and _metrics.enabled:
                 # Buckets the compaction emptied: capacity consolidated back
                 # into whole reusable processors, the quantity EXP-O showed
@@ -1135,6 +1148,10 @@ class AdmissionController:
         if every task places (each individual migration thereby re-proven by
         the same ``DBF*`` test that admitted it); otherwise the pre-replay
         assignment is kept and ``(0, False)`` returned.
+
+        This is the reference replay: :meth:`compact` and departures from a
+        non-canonical state run it; canonical departures take the exact fast
+        path :meth:`_replay_changed`.
         """
         suffix = [e for e in self._low.values() if e.seq > after_seq]
         if not suffix:
@@ -1166,6 +1183,78 @@ class AdmissionController:
         self._buckets = new_buckets
         self._shards = new_shards
         self._probe_matrix = None
+        return migrations, True
+
+    def _replay_changed(self, after_seq: int, origin: int) -> tuple[int, bool]:
+        """Exact fast path of :meth:`_replay_suffix` for a canonical state.
+
+        Probes only where invariant 5 leaves a verdict open.  The changed
+        buckets are *origin* (the departed task's) and any bucket that has
+        lost or gained an entry admitted before the one being placed.
+        Only changed buckets get new lists and ledgers.
+        """
+        suffix = [e for e in self._low.values() if e.seq > after_seq]
+        if not suffix:
+            return 0, True
+        buckets, shards = self._buckets, self._shards
+        changed = [origin]  # kept sorted
+        # Replayed (entries, ledger) of each bucket the replay has touched or
+        # had to rebuild, current up to the entry being placed.
+        replayed: dict[int, tuple[list[_LowEntry], ShardState]] = {}
+
+        def replay_of(k: int, seq: int) -> tuple[list[_LowEntry], ShardState]:
+            # Untouched by the replay so far: the bucket's replayed contents
+            # are its live entries admitted before *seq*.
+            got = replayed.get(k)
+            if got is None:
+                entries = [e for e in buckets[k] if e.seq < seq]
+                got = (entries, ShardState((e.sporadic, e.seq) for e in entries))
+                replayed[k] = got
+            return got
+
+        def ledger(k: int, seq: int) -> ShardState:
+            got = replayed.get(k)
+            if got is not None:
+                return got[1]
+            if not buckets[k] or buckets[k][-1].seq < seq:
+                return shards[k]  # the live ledger already holds exactly that
+            return replay_of(k, seq)[1]
+
+        placed: list[tuple[_LowEntry, int]] = []
+        for entry in suffix:
+            h, seq, sporadic = entry.bucket, entry.seq, entry.sporadic
+            target = None
+            for k in changed:
+                if k >= h:
+                    break
+                if ledger(k, seq).fits_all_points(sporadic):
+                    target = k
+                    break
+            if target is None and h not in changed:
+                target = h
+            elif target is None:
+                for k in range(h, len(buckets)):
+                    if ledger(k, seq).fits_all_points(sporadic):
+                        target = k
+                        break
+                else:
+                    return 0, False
+            placed.append((entry, target))
+            if target != h:
+                replay_of(h, seq)  # freeze h's contents without the entry
+                for k in (h, target):
+                    if k not in changed:
+                        insort(changed, k)
+            if target in replayed or target != h:
+                entries, shard = replay_of(target, seq)
+                entries.append(entry)
+                shard.add(sporadic, seq)
+        migrations = sum(1 for entry, k in placed if k != entry.bucket)
+        for entry, k in placed:
+            entry.bucket = k
+        for k in changed:
+            if k in replayed:
+                buckets[k], shards[k] = replayed[k]
         return migrations, True
 
     def compact(self) -> tuple[int, bool]:

@@ -79,6 +79,39 @@ class TestShardState:
         for t in (0.0, 1.0, 5.0, 17.3, 100.0):
             assert churny.demand(t) == fresh.demand(t)  # bit-equal
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=0, max_value=11),
+                st.sampled_from([1.0, 2.5, 4.0, 7.25]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_incremental_sums_equal_fresh_build(self, ops):
+        # add/remove re-sum only from the touched index onward; the state
+        # must stay bit-identical to a fresh left-to-right build, with
+        # equal deadlines (ties broken by rank) included.
+        shard = ShardState()
+        live: dict[str, tuple[SporadicTask, int]] = {}
+        for rank, (insert, slot, deadline) in enumerate(ops):
+            name = f"s{slot}"
+            if name in live and not insert:
+                shard.remove(name)
+                del live[name]
+            elif name not in live:
+                task = SporadicTask(
+                    wcet=deadline * 0.1 + slot * 0.013, deadline=deadline,
+                    period=deadline + slot, name=name,
+                )
+                shard.add(task, rank)
+                live[name] = (task, rank)
+            fresh = ShardState(live.values())
+            assert shard.state_vector() == fresh.state_vector()
+            assert shard.entries == fresh.entries
+
     def test_add_remove_roundtrip(self):
         task = SporadicTask(wcet=1.0, deadline=4.0, period=8.0, name="x")
         shard = ShardState()
