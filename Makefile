@@ -1,6 +1,6 @@
 # Convenience targets for the fedcons reproduction.
 
-.PHONY: install test bench experiments quick-experiments examples profile profile-admit clean
+.PHONY: install test bench experiments quick-experiments examples profile profile-admit loc clean
 
 install:
 	pip install -e .
@@ -32,6 +32,10 @@ profile-admit:
 	python -m repro.online.cli generate /tmp/admit_trace.jsonl --events 2000 -m 64 --seed 0
 	python -m repro.online.cli replay /tmp/admit_trace.jsonl -m 64 --profile profile_admit.pstats
 	python -c "import pstats; pstats.Stats('profile_admit.pstats').sort_stats('cumulative').print_stats(25)"
+
+# Net size of the package: total lines of Python under src/.
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks

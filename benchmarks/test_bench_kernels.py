@@ -31,17 +31,13 @@ import repro.online.controller as controller_module
 from repro.core.cache import caches
 from repro.core.dbf import demand_breakpoints, edf_exact_test, testing_interval_bound
 from repro.core.kernels import use_kernels
-from repro.core.minprocs import minprocs
+from repro.core.minprocs import _minprocs_search
 from repro.core.partition import AdmissionTest, TaskOrder, partition_sporadic
 from repro.core.shard import ShardState
 from repro.model.dag import DAG
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
 from repro.online.controller import AdmissionController
-
-minprocs_module = __import__(
-    "repro.core.minprocs", fromlist=["MU_SEARCH"]
-)
 
 ARTIFACT = Path(__file__).parent / "BENCH_kernels.json"
 
@@ -262,27 +258,25 @@ def test_bench_kernels():
         # -- MINPROCS mu-search --------------------------------------------
         high_tasks = _minprocs_workload()
 
+        # Pin the linear mu scan (the kernels-off reference always scans
+        # linearly) so this section keeps measuring kernel LS-run speed over
+        # the same attempt stream as earlier PRs; the bracketed-search win
+        # is measured separately below.
         def run_minprocs():
             return [
-                minprocs(task, 512, order="smallest_wcet") for task in high_tasks
+                _minprocs_search(task, 512, "smallest_wcet", linear=True)
+                for task in high_tasks
             ]
 
-        # Pin the linear mu scan so this section keeps measuring kernel
-        # LS-run speed over the same attempt stream as earlier PRs; the
-        # bracketed-search win is measured separately below.
-        minprocs_module.MU_SEARCH = "linear"
-        try:
-            with use_kernels(False):
-                reference = run_minprocs()
-            with use_kernels(True):
-                kernel = run_minprocs()
-            assert all(r is not None for r in reference)
-            for a, b in zip(kernel, reference):
-                assert (a.processors, a.attempts) == (b.processors, b.attempts)
-                assert a.schedule.slots == b.schedule.slots
-            old_s, new_s = _time_both(run_minprocs)
-        finally:
-            minprocs_module.MU_SEARCH = "bisect"
+        with use_kernels(False):
+            reference = run_minprocs()
+        with use_kernels(True):
+            kernel = run_minprocs()
+        assert all(r is not None for r in reference)
+        for a, b in zip(kernel, reference):
+            assert (a.processors, a.attempts) == (b.processors, b.attempts)
+            assert a.schedule.slots == b.schedule.slots
+        old_s, new_s = _time_both(run_minprocs)
         attempts = sum(r.attempts for r in reference)
         minprocs_speedup = old_s / new_s
         document["minprocs"] = {
@@ -296,19 +290,15 @@ def test_bench_kernels():
         # -- mu-search strategy: bracketed vs the PR 5 linear scan ---------
         wide_tasks = _mu_search_workload()
 
-        def run_mu_search():
+        def run_mu_search(linear=False):
             return [
-                minprocs(task, 1024, order="smallest_wcet")
+                _minprocs_search(task, 1024, "smallest_wcet", linear=linear)
                 for task in wide_tasks
             ]
 
         with use_kernels(True):
-            minprocs_module.MU_SEARCH = "linear"
-            try:
-                linear_results = run_mu_search()
-                linear_s = _best_of(_REPEATS, run_mu_search)
-            finally:
-                minprocs_module.MU_SEARCH = "bisect"
+            linear_results = run_mu_search(linear=True)
+            linear_s = _best_of(_REPEATS, lambda: run_mu_search(linear=True))
             bisect_results = run_mu_search()
             bisect_s = _best_of(_REPEATS, run_mu_search)
         for a, b in zip(bisect_results, linear_results):

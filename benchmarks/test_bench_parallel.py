@@ -6,7 +6,7 @@ Three timed configurations of the EXP-A quick acceptance sweep:
 * **parallel** -- ``jobs=min(4, cpu_count)``, caches disabled: pure
   process-pool speedup, bit-identical tables required;
 * **serial-warm** -- ``jobs=1`` under :func:`repro.core.cache.caching`, run
-  twice: the second pass must serve DBF* demand values from the cache.
+  twice: the second pass must serve MINPROCS sizings from the cache.
 
 The numbers land in ``benchmarks/BENCH_parallel.json`` so the speedup and
 hit-rate trajectory is comparable across PRs.  The >= 2x speedup criterion is
@@ -64,8 +64,8 @@ def test_bench_parallel(tmp_path, show):
     parallel_csv = _csv_bytes(parallel_tables, tmp_path, "parallel")
     assert parallel_csv == serial_csv
 
-    # Cache effectiveness: a warm second pass over the same grid serves DBF*
-    # demand values (and MINPROCS sizings) from the cache.
+    # Cache effectiveness: a warm second pass over the same grid serves
+    # MINPROCS sizings from the cache.
     with caching() as active:
         warm_tables, _ = _run(jobs=1)
         active.reset_counters()
@@ -73,9 +73,8 @@ def test_bench_parallel(tmp_path, show):
         cache_stats = active.stats()
     assert _csv_bytes(warm_tables, tmp_path, "warm") == serial_csv
     assert _csv_bytes(rewarm_tables, tmp_path, "rewarm") == serial_csv
-    # Since the ShardState-ledger refactor the partition probes no longer go
-    # through the dbf_star value cache, so warm-pass effectiveness shows up
-    # as MINPROCS sizings answered without re-running List Scheduling.
+    # Warm-pass effectiveness shows up as MINPROCS sizings answered without
+    # re-running List Scheduling.
     assert cache_stats["minprocs"]["hits"] > 0
     assert cache_stats["minprocs"]["hit_rate"] > 0.0
 

@@ -1,15 +1,11 @@
-"""Memoization of the analysis hot paths (DBF* demand and MINPROCS sizing).
+"""Memoization of the analysis hot paths (MINPROCS sizing, compiled DAGs).
 
 The experiment stack re-evaluates the same pure functions over and over:
-``DBF*`` of a sporadic task at a test point (PARTITION probes every shared
-processor at every candidate deadline), and MINPROCS cluster sizing of a DAG
-(every re-analysis of a system replays the same List Scheduling search).
-All are pure functions of their arguments, so this module provides a set of
-bounded LRU caches:
+MINPROCS cluster sizing of a DAG (every re-analysis of a system replays the
+same List Scheduling search) and the flat compilation that search runs on.
+Both are pure functions of their arguments, so this module provides a pair
+of bounded LRU caches:
 
-``dbf_star``
-    keyed by ``(C, D, T, t)`` -- the full argument tuple of
-    ``SporadicTask.dbf_approx``;
 ``minprocs``
     keyed by ``(DAG.digest(), D, order)`` -- one entry per analysed DAG task,
     storing either the minimal fitting cluster (reusable for any processor
@@ -29,7 +25,7 @@ them unless ``--no-cache`` is given, and benchmarks/tests enable them via
 
 Hit/miss/eviction counts are always tracked on the cache objects (cheap int
 adds) and additionally mirrored into the global
-:class:`~repro.obs.metrics.MetricsRegistry` (``cache.dbf_star.hits``, ...)
+:class:`~repro.obs.metrics.MetricsRegistry` (``cache.minprocs.hits``, ...)
 whenever metrics collection is on, so worker-side cache behaviour survives
 the parent's metrics merge.
 """
@@ -119,16 +115,10 @@ class LRUCache:
 
 
 class AnalysisCaches:
-    """The process-wide trio of analysis caches plus the enable switch."""
+    """The process-wide pair of analysis caches plus the enable switch."""
 
-    def __init__(
-        self,
-        dbf_star_size: int = 1 << 17,
-        minprocs_size: int = 4096,
-        compiled_size: int = 4096,
-    ) -> None:
+    def __init__(self, minprocs_size: int = 4096, compiled_size: int = 4096) -> None:
         self.enabled = False
-        self.dbf_star = LRUCache("dbf_star", dbf_star_size)
         self.minprocs = LRUCache("minprocs", minprocs_size)
         self.compiled = LRUCache("compiled", compiled_size)
 
@@ -142,39 +132,21 @@ class AnalysisCaches:
 
     def clear(self) -> None:
         """Drop all entries of every cache."""
-        self.dbf_star.clear()
         self.minprocs.clear()
         self.compiled.clear()
 
     def reset_counters(self) -> None:
         """Zero the hit/miss/eviction counters of every cache."""
-        for cache in (self.dbf_star, self.minprocs, self.compiled):
+        for cache in (self.minprocs, self.compiled):
             cache.hits = cache.misses = cache.evictions = 0
 
     def stats(self) -> dict:
         """Per-cache size/hit/miss statistics (JSON-serialisable)."""
         return {
             "enabled": self.enabled,
-            "dbf_star": self.dbf_star.stats(),
             "minprocs": self.minprocs.stats(),
             "compiled": self.compiled.stats(),
         }
-
-    # -- the memoized analyses -------------------------------------------
-
-    def dbf_star_value(self, task, t: float) -> float:
-        """Memoized ``task.dbf_approx(t)`` keyed by ``(C, D, T, t)``.
-
-        Pure memoization: the returned float is exactly the value the
-        uncached call produces, so cached and uncached analyses are
-        bit-identical.
-        """
-        key = (task.wcet, task.deadline, task.period, t)
-        value = self.dbf_star.get(key)
-        if value is MISSING:
-            value = task.dbf_approx(t)
-            self.dbf_star.put(key, value)
-        return value
 
 
 #: The process-wide caches every instrumented analysis consults.

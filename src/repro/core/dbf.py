@@ -22,7 +22,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import AnalysisError
 from repro.core import kernels as _kernels
-from repro.core.cache import caches as _caches
 from repro.core.kernels import flags as _kernel_flags
 from repro.model.sporadic import SporadicTask
 from repro.obs.metrics import metrics as _metrics
@@ -49,16 +48,9 @@ def total_dbf(tasks: Iterable[SporadicTask], t: float) -> float:
 
 
 def total_dbf_approx(tasks: Iterable[SporadicTask], t: float) -> float:
-    """Approximate aggregate demand ``sum_i DBF*(tau_i, t)``.
-
-    When the analysis caches (:mod:`repro.core.cache`) are enabled, each
-    per-task ``DBF*`` value is memoized by ``(C, D, T, t)``; summation order
-    is unchanged, so cached and uncached totals are bit-identical.
-    """
+    """Approximate aggregate demand ``sum_i DBF*(tau_i, t)``."""
     if _metrics.enabled:
         _metrics.incr("dbf_star_evaluations")
-    if _caches.enabled:
-        return sum(_caches.dbf_star_value(task, t) for task in tasks)
     return sum(task.dbf_approx(t) for task in tasks)
 
 
@@ -80,19 +72,10 @@ def edf_approx_test(tasks: Sequence[SporadicTask]) -> bool:
     deadline) and slopes sum to ``U <= 1`` when the test can pass at all, it
     suffices to check the inequality at each task's relative deadline, plus
     the slope condition ``U <= 1``.
-
-    With the compiled kernels enabled (the default) all deadlines are
-    checked in one vectorized ``DBF*`` pass; the totals -- and hence the
-    verdict -- are bit-identical to the scalar loop.
     """
     if sum(t.utilization for t in tasks) > 1.0 + _TOL:
         return False
-    points = {t.deadline for t in tasks}
-    if _kernel_flags.enabled and points:
-        if _metrics.enabled:
-            _metrics.incr("dbf_star_evaluations", len(points))
-        return _kernels.dbf_star_all_within(tasks, list(points), _TOL)
-    for point in points:
+    for point in {t.deadline for t in tasks}:
         if total_dbf_approx(tasks, point) > point + _TOL:
             return False
     return True

@@ -1,11 +1,10 @@
-"""Compiled analysis kernels: flat-array LS, vectorized DBF*, and QPA.
+"""Compiled analysis kernels: flat-array LS and QPA.
 
-The three analysis hot loops -- Graham List Scheduling inside the MINPROCS
-mu-search (Fig. 3), DBF* demand evaluation inside PARTITION (Baruah & Fisher
-2006), and the exact processor-demand oracle -- are pure functions that the
-experiment sweeps and the online controller call millions of times.  This
-module provides faster *drop-in* implementations of each, with one hard
-contract:
+Two analysis hot loops -- Graham List Scheduling inside the MINPROCS
+mu-search (Fig. 3) and the exact processor-demand oracle -- are pure
+functions that the experiment sweeps and the online controller call millions
+of times.  This module provides faster *drop-in* implementations of each,
+with one hard contract:
 
     **every kernel is bit-identical to the plain-Python path it replaces** --
     same schedules, same makespans, same partition assignments, same
@@ -14,7 +13,7 @@ contract:
 The repo's determinism, golden-CSV and replay tests depend on that contract;
 :mod:`tests.test_kernels` enforces it property-by-property with Hypothesis.
 
-Three kernels live here:
+Two kernels live here:
 
 :class:`CompiledDAG`
     an int-indexed flat view of a :class:`~repro.model.dag.DAG` (WCET vector,
@@ -25,12 +24,6 @@ Three kernels live here:
     an index-based heap loop with no ``repr`` churn, no per-call priority
     re-sort, no ``dict(dag.wcets)`` copy, and no dict-keyed heaps --
     MINPROCS reuses one artifact across all its mu attempts.
-
-:func:`dbf_star_totals` / :func:`dbf_star_all_within`
-    ``sum_i DBF*(tau_i, t)`` over a whole vector of test points in one numpy
-    pass.  The accumulation is **per-task sequential** (``total += row``),
-    not ``np.sum`` (which sums pairwise and would round differently), so
-    each total is bit-identical to the scalar left-to-right Python sum.
 
 :func:`qpa_exact_test`
     Quick Processor-demand Analysis (Zhang & Burns, IEEE TC 2009): instead
@@ -53,8 +46,6 @@ import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.errors import AnalysisError
 from repro.core.cache import MISSING, caches as _caches
 from repro.core.schedule import Schedule, Slot
@@ -66,8 +57,6 @@ __all__ = [
     "compile_dag",
     "ls_run",
     "build_schedule",
-    "dbf_star_totals",
-    "dbf_star_all_within",
     "latest_breakpoint",
     "qpa_exact_test",
     "flags",
@@ -76,30 +65,22 @@ __all__ = [
     "disable_kernels",
     "use_kernels",
     "kernel_backend",
-    "set_kernel_backend",
-    "use_kernel_backend",
 ]
 
 
 class KernelFlags:
     """The process-wide kernel switch (one attribute read on the hot path).
 
-    ``enabled`` keeps the historical on/off semantics of ``REPRO_KERNELS``
-    (``0``/``off``/``false``/``no`` fall back to the pure-Python reference
-    paths).  ``backend`` selects *which* compiled tier answers while kernels
-    are on: ``"numpy"`` (the default flat-array tier) or ``"jit"``
-    (``REPRO_KERNELS=jit``), which routes :func:`ls_run` and
-    :func:`dbf_star_totals` through the optional :mod:`repro.core.jit`
-    numba backend and degrades silently to the NumPy tier when numba is not
-    installed.
+    ``REPRO_KERNELS`` set to ``0``/``off``/``false``/``no`` falls back to the
+    pure-Python reference paths; any other value (or none) turns the
+    kernels on.
     """
 
-    __slots__ = ("enabled", "backend")
+    __slots__ = ("enabled",)
 
     def __init__(self) -> None:
         raw = os.environ.get("REPRO_KERNELS", "1").lower()
         self.enabled = raw not in ("0", "off", "false", "no")
-        self.backend = "jit" if raw == "jit" else "numpy"
 
 
 #: Global switch consulted by every routed hot path.
@@ -133,33 +114,8 @@ def use_kernels(enabled: bool = True) -> Iterator[None]:
 
 
 def kernel_backend() -> str:
-    """The active compiled tier: ``"numpy"`` or ``"jit"``.
-
-    ``"jit"`` means the numba tier is *requested*; whether it actually
-    answers depends on :func:`repro.core.jit.available` (absent numba
-    degrades silently to the NumPy tier with identical results).
-    """
-    return flags.backend
-
-
-def set_kernel_backend(backend: str) -> None:
-    """Select the compiled tier (``"numpy"`` or ``"jit"``) process-wide."""
-    if backend not in ("numpy", "jit"):
-        raise AnalysisError(
-            f"unknown kernel backend {backend!r}; available: ['jit', 'numpy']"
-        )
-    flags.backend = backend
-
-
-@contextmanager
-def use_kernel_backend(backend: str) -> Iterator[None]:
-    """Scoped backend selection; restores the previous tier afterwards."""
-    previous = flags.backend
-    set_kernel_backend(backend)
-    try:
-        yield
-    finally:
-        flags.backend = previous
+    """The active analysis path: ``"numpy"`` (kernels on) or ``"python"``."""
+    return "numpy" if flags.enabled else "python"
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +142,6 @@ class CompiledDAG:
         "indegree",
         "_upward",
         "_priority",
-        "_jit_arrays",
     )
 
     def __init__(self, dag: DAG) -> None:
@@ -218,9 +173,6 @@ class CompiledDAG:
         self.indegree = [pred_indptr[i + 1] - pred_indptr[i] for i in range(len(verts))]
         self._upward: list[float] | None = None
         self._priority: dict[str, list[int]] = {}
-        #: numpy mirrors built lazily by the jit tier (wcet, indptr, succ,
-        #: indegree); ``None`` until the first jit-backed :func:`ls_run`.
-        self._jit_arrays: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.wcet)
@@ -318,19 +270,7 @@ def ls_run(
     comparison resolves on the first tuple element and the pop order is
     identical to the dict-keyed reference loop; start/end times are the same
     ``now + wcet`` float expressions.
-
-    With ``REPRO_KERNELS=jit`` (and numba importable) the loop runs in the
-    compiled :mod:`repro.core.jit` tier instead -- pop order and float
-    expressions are identical (unique heap keys fully determine the pop
-    sequence of any correct binary heap), so the returned slots are
-    bit-identical across all three tiers.
     """
-    if flags.backend == "jit":
-        from repro.core import jit as _jit
-
-        result = _jit.ls_run(compiled, processors, prio)
-        if result is not None:
-            return result
     n = len(compiled.wcet)
     wcet = compiled.wcet
     indptr = compiled.succ_indptr
@@ -398,51 +338,6 @@ def build_schedule(
         for i, start, end, proc in raw
     ]
     return Schedule(dag, slots, processors)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized DBF*
-# ---------------------------------------------------------------------------
-
-def dbf_star_totals(
-    tasks: Sequence[SporadicTask], points: Sequence[float]
-) -> np.ndarray:
-    """``sum_i DBF*(tau_i, t)`` for every ``t`` in *points*, in one pass.
-
-    Bit-identical to calling ``total_dbf_approx`` at each point: tasks are
-    accumulated **sequentially in input order** (``total += row``) rather
-    than with ``np.sum`` (whose pairwise summation rounds differently), and
-    each row is the same ``C + u * (t - D)`` expression ``dbf_approx`` uses.
-
-    Under ``REPRO_KERNELS=jit`` the same sequential accumulation runs in the
-    numba tier (:mod:`repro.core.jit`) -- identical per-element IEEE ops in
-    the identical order, hence identical totals.
-    """
-    if flags.backend == "jit":
-        from repro.core import jit as _jit
-
-        totals = _jit.dbf_star_totals(tasks, points)
-        if totals is not None:
-            return totals
-    pts = np.asarray(points, dtype=float)
-    total = np.zeros(pts.shape)
-    for task in tasks:
-        deadline = task.deadline
-        total += np.where(
-            pts < deadline,
-            0.0,
-            task.wcet + task.utilization * (pts - deadline),
-        )
-    return total
-
-
-def dbf_star_all_within(
-    tasks: Sequence[SporadicTask], points: Sequence[float], tol: float
-) -> bool:
-    """True iff ``sum_i DBF*(tau_i, t) <= t + tol`` at every point."""
-    pts = np.asarray(points, dtype=float)
-    totals = dbf_star_totals(tasks, pts)
-    return not bool(np.any(totals > pts + tol))
 
 
 # ---------------------------------------------------------------------------

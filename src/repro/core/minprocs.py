@@ -13,25 +13,27 @@ the remaining platform and ``None`` is returned (the paper's ``infinity``).
 
 Search strategy
 ---------------
-The paper's Figure 3 scans ``mu`` linearly.  Because the LS makespan over a
-fixed priority list is (almost always) non-increasing in the processor
-count, the default strategy brackets the first fitting ``mu`` with a
-galloping probe sequence and then bisects -- O(log range) LS runs instead of
-O(range).  Graham's anomalies mean monotonicity is not a theorem, so every
-bracketed search re-checks the makespans it actually observed: any
-non-monotone pair triggers a transparent fallback to the full linear scan
-(probe results are reused), guaranteeing the returned
+There is one reference path and one fast path.  With the kernels off
+(``REPRO_KERNELS=0``) the search is the paper's Figure 3 read literally: a
+linear scan of ``mu`` over :func:`~repro.core.list_scheduling.list_schedule`.
+With the kernels on, the LS runs use the compiled flat-array loop and the
+search, because the LS makespan over a fixed priority list is (almost
+always) non-increasing in the processor count, brackets the first fitting
+``mu`` with a galloping probe sequence and then bisects -- O(log range) LS
+runs instead of O(range).  Graham's anomalies mean monotonicity is not a
+theorem, so every bracketed search re-checks the makespans it actually
+observed: any non-monotone pair triggers a transparent fallback to the full
+linear scan (probe results are reused), guaranteeing the returned
 :attr:`MinProcsResult.processors` matches Figure 3 whenever an anomaly
-manifests among the probed points.  ``REPRO_MU_SEARCH=linear`` forces the
-literal Figure 3 scan; either way the reported ``attempts`` stays the
-canonical ``mu* - start + 1`` so results are bit-identical across
-strategies, while ``ls_runs`` records what the strategy really paid.
+manifests among the probed points.  Either way the reported ``attempts``
+stays the canonical ``mu* - start + 1`` so results are bit-identical
+between the two paths, while ``ls_runs`` records what the search really
+paid.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,11 +55,6 @@ __all__ = ["MinProcsResult", "minprocs", "minprocs_unbounded"]
 
 _log = get_logger(__name__)
 
-#: Search strategy: "bisect" (gallop + binary search, the default) or
-#: "linear" (the literal Figure 3 scan).  Module attribute so tests and
-#: benchmarks can monkeypatch it without touching the environment.
-MU_SEARCH = os.environ.get("REPRO_MU_SEARCH", "bisect").strip().lower() or "bisect"
-
 #: Below this many candidate processor counts the bracketed search cannot
 #: beat the linear scan (the gallop alone probes ~log2(range) points), so
 #: small searches stay on the legacy loop.
@@ -76,14 +73,14 @@ class MinProcsResult:
         The template schedule ``sigma_i`` replayed at run time.
     attempts:
         The canonical Figure 3 attempt count ``mu* - ceil(delta) + 1`` (how
-        many LS runs the paper's linear scan performs).  Identical across
-        search strategies, kernel tiers, and cache hits -- complexity
-        experiments and bit-identity checks key off this.
+        many LS runs the paper's linear scan performs).  Identical with the
+        kernels on or off and on cache hits -- complexity experiments and
+        bit-identity checks key off this.
     ls_runs:
-        How many LS runs the chosen strategy actually performed: equals
-        ``attempts`` for the linear scan, O(log range) for the bracketed
-        search, ``0`` when answered from the analysis cache, ``None`` only
-        for legacy constructors that never measured it.
+        How many LS runs the search actually performed: equals ``attempts``
+        for the linear scan, O(log range) for the bracketed search, ``0``
+        when answered from the analysis cache, ``None`` only for legacy
+        constructors that never measured it.
     """
 
     processors: int
@@ -149,15 +146,19 @@ def _minprocs_search(
     task: SporadicDAGTask,
     available: int,
     order: str | Sequence[VertexId],
+    *,
+    linear: bool = False,
 ) -> MinProcsResult | None:
     """The uncached MINPROCS search (validation already done).
 
-    The per-task LS inputs are hoisted out of the ``mu`` probes: with kernels
-    enabled, one :class:`~repro.core.kernels.CompiledDAG` (and its priority
-    permutation) backs every attempt and only the *fitting* attempt
-    materializes Slot objects; with kernels disabled, the priority list and
-    indegree template are still computed once via :func:`prepare_ls` instead
-    of once per attempt.
+    With kernels disabled this is the literal Figure 3 scan over
+    :func:`list_schedule` (the priority list and indegree template are
+    computed once via :func:`prepare_ls` instead of once per attempt).  With
+    kernels enabled, one :class:`~repro.core.kernels.CompiledDAG` (and its
+    priority permutation) backs every attempt, only the *fitting* attempt
+    materializes Slot objects, and the bracketed search runs unless
+    *linear* pins the compiled linear scan (tests and benchmarks compare
+    the two this way).
 
     Probe results are memoized per ``mu`` so the anomaly fallback re-uses
     rather than re-runs them; ``minprocs_ls_runs``/``list_schedule_*``
@@ -282,7 +283,7 @@ def _minprocs_search(
                 return _finish(mu)
         return _reject()
 
-    if MU_SEARCH == "linear" or available - start + 1 < BISECT_MIN_RANGE:
+    if not use_kernel or linear or available - start + 1 < BISECT_MIN_RANGE:
         return _linear()
 
     # Gallop from `start` with doubling stride to bracket the first fit.

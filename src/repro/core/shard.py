@@ -41,7 +41,6 @@ batch re-analysis.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 
@@ -56,21 +55,11 @@ __all__ = ["ShardState", "ShardProbeMatrix"]
 _TOL = 1e-9
 
 
-def _vector_min_points_default() -> int:
-    """``REPRO_VECTOR_MIN_POINTS`` override of the scalar/vector crossover."""
-    raw = os.environ.get("REPRO_VECTOR_MIN_POINTS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 16
-    return value if value >= 0 else 16
-
-
 #: Below this many affected test points the scalar probe loop wins; above it
 #: :meth:`ShardState.fits_all_points` switches to one vectorized numpy pass.
-#: Overridable via ``REPRO_VECTOR_MIN_POINTS`` (see docs/PERFORMANCE.md for
-#: the micro-benchmark behind the default of 16); monkeypatchable in tests.
-VECTOR_MIN_POINTS = _vector_min_points_default()
+#: The default comes from the ``vector_min_points`` crossover row of
+#: ``benchmarks/BENCH_kernels.json``; monkeypatchable in tests.
+VECTOR_MIN_POINTS = 16
 
 
 class ShardState:
@@ -301,8 +290,8 @@ class ShardProbeMatrix:
     Bit-identity: each cell evaluates exactly the float expressions of
     :meth:`ShardState.fits_at_deadline` and the vectorized branch of
     :meth:`ShardState.fits_all_points` -- same operand order, same
-    ``_TOL`` comparisons -- so ``probe(task)[k] ==
-    shards[k].fits_all_points(task)`` for every shard, and first-fit
+    ``_TOL`` comparisons -- so ``probe_many(tasks)[i, k] ==
+    shards[k].fits_all_points(tasks[i])`` for every cell, and first-fit
     placement (take the lowest ``True`` index) is unchanged.
 
     The per-point *base* demand (the shard's own aggregate ``DBF*`` at each
@@ -379,23 +368,10 @@ class ShardProbeMatrix:
         self._fill_row(k, shard)
         return True
 
-    def probe(self, task: SporadicTask) -> np.ndarray:
-        """Per-shard ``fits_all_points`` verdicts for one candidate."""
-        return self._probe_block((task,), slice(None))[0]
-
     def probe_many(self, tasks: Sequence[SporadicTask]) -> np.ndarray:
         """``(candidates, shards)`` verdict matrix in one broadcast."""
-        return self._probe_block(tasks, slice(None))
-
-    def probe_column(self, tasks: Sequence[SporadicTask], k: int) -> np.ndarray:
-        """Per-candidate verdicts against the single shard *k*."""
-        return self._probe_block(tasks, slice(k, k + 1))[:, 0]
-
-    def _probe_block(
-        self, tasks: Sequence[SporadicTask], sl: slice
-    ) -> np.ndarray:
-        points = self._points[sl]
-        valid = self._valid[sl]
+        points = self._points
+        valid = self._valid
         deadline = np.array([t.deadline for t in tasks])[:, None]
         wcet = np.array([t.wcet for t in tasks])[:, None]
         util = np.array([t.utilization for t in tasks])[:, None]
@@ -405,7 +381,7 @@ class ShardProbeMatrix:
         at_or_before = valid & (points <= deadline3)
         count = at_or_before.sum(axis=2)
         gather = np.maximum(count - 1, 0)
-        rows = self._cols[sl][None, :]
+        rows = self._cols[None, :]
         demand_at = (
             self._cum_wcet[rows, gather]
             + self._cum_util[rows, gather] * deadline
@@ -413,11 +389,11 @@ class ShardProbeMatrix:
         )
         demand_at = np.where(count > 0, demand_at, 0.0)
         fits = deadline - demand_at >= wcet - _TOL
-        fits &= 1.0 - self._util_total[sl][None, :] >= util - _TOL
+        fits &= 1.0 - self._util_total[None, :] >= util - _TOL
         # fits_all_points, batched: candidate demand added at every existing
         # test point at or after its deadline (same grouping as the scalar
         # vector branch: base + (C + u * (t - D))).
-        with_task = self._base[sl] + (
+        with_task = self._base + (
             wcet[:, :, None] + util[:, :, None] * (points - deadline3)
         )
         violation = (with_task > points + _TOL) & valid & (points >= deadline3)

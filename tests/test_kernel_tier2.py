@@ -1,5 +1,5 @@
 """Tier-2 kernel guarantees: bracketed mu-search, batched shard probes,
-the jit backend switch, and the multi-core plumbing.
+the kernel switch, and the multi-core plumbing.
 
 Everything here enforces the same contract as :mod:`tests.test_kernels`:
 the new evaluation strategies are *pure speedups* -- identical processor
@@ -18,15 +18,9 @@ from hypothesis import strategies as st
 
 import repro.online.controller as controller_mod
 import repro.parallel.engine as engine_mod
-from repro.core import jit, kernels
+from repro.core import kernels
 from repro.core.cache import caching
-from repro.core.kernels import (
-    KernelFlags,
-    kernel_backend,
-    set_kernel_backend,
-    use_kernel_backend,
-    use_kernels,
-)
+from repro.core.kernels import KernelFlags, kernel_backend, use_kernels
 from repro.core.shard import ShardProbeMatrix, ShardState
 from repro.errors import AnalysisError
 from repro.generation.adversarial import chen_gadget
@@ -72,19 +66,12 @@ def _result_tuple(result):
 
 
 def _run_both_strategies(task, budget, order="longest_path"):
-    saved = minprocs_mod.MU_SEARCH
-    try:
-        minprocs_mod.MU_SEARCH = "linear"
-        linear = minprocs(task, budget, order=order)
-        minprocs_mod.MU_SEARCH = "bisect"
-        bisect = minprocs(task, budget, order=order)
-    finally:
-        minprocs_mod.MU_SEARCH = saved
-    return linear, bisect
+    search = minprocs_mod._minprocs_search
+    return search(task, budget, order, linear=True), search(task, budget, order)
 
 
 class TestMuSearchEquivalence:
-    """Bracketed mu-search == Figure 3 linear scan, on every backend."""
+    """Bracketed mu-search == Figure 3 linear scan, kernels on and off."""
 
     def test_staircase_identical_with_fewer_ls_runs(self):
         task = _staircase_task()
@@ -99,21 +86,17 @@ class TestMuSearchEquivalence:
         assert bisect.ls_runs < linear.ls_runs
 
     def test_staircase_identical_without_kernels(self):
+        # Kernels off is the literal Figure 3 scan over list_schedule; the
+        # kernels' bracketed search must land on the same cluster.
         task = _staircase_task(chain=6, fringe=24)
         with use_kernels(False):
-            linear, bisect = _run_both_strategies(task, 256)
-        assert linear is not None
-        assert _result_tuple(bisect) == _result_tuple(linear)
-        assert bisect.ls_runs < linear.ls_runs
-
-    def test_staircase_identical_on_jit_backend(self):
-        task = _staircase_task(chain=6, fringe=24)
-        with use_kernels(True), use_kernel_backend("jit"):
-            linear, bisect = _run_both_strategies(task, 256)
+            reference = minprocs(task, 256)
         with use_kernels(True):
-            numpy_linear = minprocs(task, 256)
-        assert _result_tuple(bisect) == _result_tuple(linear)
-        assert _result_tuple(bisect) == _result_tuple(numpy_linear)
+            bisect = minprocs(task, 256)
+        assert reference is not None
+        assert _result_tuple(bisect) == _result_tuple(reference)
+        assert reference.ls_runs == reference.attempts
+        assert bisect.ls_runs < reference.ls_runs
 
     @settings(max_examples=30, deadline=None)
     @given(task=dag_tasks(), budget=st.integers(min_value=1, max_value=64))
@@ -147,15 +130,10 @@ class TestMuSearchEquivalence:
 
     def test_small_range_degenerates_to_linear(self):
         # available - start + 1 < BISECT_MIN_RANGE takes the Figure 3 scan
-        # verbatim even under MU_SEARCH="bisect": every probe actually runs.
+        # verbatim even with the kernels on: every probe actually runs.
         task = _staircase_task(chain=4, fringe=8, name="small")
-        saved = minprocs_mod.MU_SEARCH
-        try:
-            minprocs_mod.MU_SEARCH = "bisect"
-            with use_kernels(True):
-                result = minprocs(task, 8)
-        finally:
-            minprocs_mod.MU_SEARCH = saved
+        with use_kernels(True):
+            result = minprocs(task, 8)
         assert result is not None
         assert result.processors == 8
         assert result.ls_runs == result.attempts
@@ -200,13 +178,8 @@ class TestAnomalyFallback:
             return makespan, payload
 
         monkeypatch.setattr(kernels, "ls_run", warped)
-        saved = minprocs_mod.MU_SEARCH
-        minprocs_mod.MU_SEARCH = "bisect"
-        try:
-            with use_kernels(True), collecting() as m:
-                result = minprocs(task, 256)
-        finally:
-            minprocs_mod.MU_SEARCH = saved
+        with use_kernels(True), collecting() as m:
+            result = minprocs(task, 256)
         assert m.counter("minprocs_anomaly_fallbacks") == 1
         # The fallback answers exactly what the clean linear scan answers.
         assert (result.processors, result.attempts) == (
@@ -244,7 +217,7 @@ class TestShardProbeMatrix:
         with use_kernels(True):
             matrix = ShardProbeMatrix(shards)
             for task in self._candidates(seed):
-                verdicts = matrix.probe(task)
+                verdicts = matrix.probe_many([task])[0]
                 expected = [s.fits_all_points(task) for s in shards]
                 assert verdicts.tolist() == expected
 
@@ -255,15 +228,16 @@ class TestShardProbeMatrix:
             matrix = ShardProbeMatrix(shards)
             block = matrix.probe_many(tasks)
             for i, task in enumerate(tasks):
-                assert block[i].tolist() == matrix.probe(task).tolist()
+                assert block[i].tolist() == matrix.probe_many([task])[0].tolist()
 
     def test_probe_column_matches(self):
         shards = self._shards(6)
         tasks = self._candidates(6, count=12)
         with use_kernels(True):
             matrix = ShardProbeMatrix(shards)
+            block = matrix.probe_many(tasks)
             for k in range(len(shards)):
-                column = matrix.probe_column(tasks, k)
+                column = block[:, k]
                 expected = [shards[k].fits_all_points(t) for t in tasks]
                 assert column.tolist() == expected
 
@@ -278,7 +252,7 @@ class TestShardProbeMatrix:
         with use_kernels(True):
             matrix = ShardProbeMatrix(shards)
             for task in self._candidates(9, count=10):
-                assert matrix.probe(task).tolist() == [
+                assert matrix.probe_many([task])[0].tolist() == [
                     s.fits_all_points(task) for s in shards
                 ]
 
@@ -292,7 +266,7 @@ class TestShardProbeMatrix:
             shards[2].add(newcomer, 999)
             assert matrix.refresh_column(2, shards[2])
             for task in self._candidates(11, count=10):
-                assert matrix.probe(task).tolist() == [
+                assert matrix.probe_many([task])[0].tolist() == [
                     s.fits_all_points(task) for s in shards
                 ]
 
@@ -421,53 +395,21 @@ class TestBatchedAdmitMany:
 
 class TestKernelBackendFlags:
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "jit")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "jit"
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        flags = KernelFlags()
-        assert not flags.enabled and flags.backend == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "numpy"
+        # "jit" selects no separate backend: like any value other than the
+        # off spellings it turns the kernels on.
+        for raw, enabled in (("jit", True), ("0", False), ("1", True)):
+            monkeypatch.setenv("REPRO_KERNELS", raw)
+            assert KernelFlags().enabled is enabled
         monkeypatch.delenv("REPRO_KERNELS")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "numpy"
+        assert KernelFlags().enabled
 
     def test_backend_switch_scoped(self):
         before = kernel_backend()
-        with use_kernel_backend("jit"):
-            assert kernel_backend() == "jit"
+        with use_kernels(False):
+            assert kernel_backend() == "python"
+        with use_kernels(True):
+            assert kernel_backend() == "numpy"
         assert kernel_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(AnalysisError):
-            set_kernel_backend("cuda")
-
-
-class TestJitDegradation:
-    """Without numba the jit tier must degrade silently and identically
-    (with numba it must still be bit-identical -- same assertions)."""
-
-    def test_warm_matches_availability(self):
-        assert jit.warm() == jit.available()
-
-    def test_ls_and_dbf_identical_across_backends(self):
-        task = _staircase_task(chain=5, fringe=16, name="jitcheck")
-        with use_kernels(True):
-            baseline = minprocs(task, 64)
-        with use_kernels(True), use_kernel_backend("jit"):
-            routed = minprocs(task, 64)
-        assert _result_tuple(routed) == _result_tuple(baseline)
-
-        rng = np.random.default_rng(3)
-        tasks = random_sporadics(rng, 8)
-        points = np.asarray([t.deadline for t in tasks], dtype=float)
-        with use_kernels(True):
-            base_totals = kernels.dbf_star_totals(tasks, points)
-        with use_kernels(True), use_kernel_backend("jit"):
-            jit_totals = kernels.dbf_star_totals(tasks, points)
-        assert jit_totals.tolist() == base_totals.tolist()
 
 
 class TestAvailableCpus:

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MISSING, AnalysisCaches, LRUCache, caches, caching
-from repro.core.dbf import total_dbf_approx
+from repro.core.minprocs import minprocs
 from repro.errors import AnalysisError
 from repro.experiments.harness import acceptance_sweep
 from repro.experiments.runner import run_experiment
 from repro.generation.tasksets import SystemConfig
 from repro.model.dag import DAG
-from repro.model.sporadic import SporadicTask
+from repro.model.task import SporadicDAGTask
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.parallel.engine import GridSpec, effective_jobs, run_grid
 from repro.parallel.seeds import (
@@ -251,16 +251,6 @@ class TestAnalysisCaches:
         # The process-global instance starts disabled too (tests rely on it).
         assert caches.enabled is False
 
-    def test_dbf_star_value_matches_uncached(self):
-        local = AnalysisCaches()
-        task = SporadicTask(wcet=2.0, deadline=5.0, period=7.0)
-        for t in (0.0, 4.9, 5.0, 12.0):
-            assert local.dbf_star_value(task, t) == task.dbf_approx(t)
-            # Second lookup is a hit and returns the identical value.
-            assert local.dbf_star_value(task, t) == task.dbf_approx(t)
-        assert local.dbf_star.hits == 4
-        assert local.dbf_star.misses == 4
-
     def test_caching_context_restores_state(self):
         assert caches.enabled is False
         with caching() as active:
@@ -270,41 +260,28 @@ class TestAnalysisCaches:
 
     def test_caching_context_clears_by_default(self):
         with caching():
-            caches.dbf_star.put(("x",), 1.0)
-            assert len(caches.dbf_star) == 1
+            caches.minprocs.put(("x",), 1.0)
+            assert len(caches.minprocs) == 1
         with caching():
-            assert caches.dbf_star.get(("x",)) is MISSING
+            assert caches.minprocs.get(("x",)) is MISSING
 
     def test_reset_counters(self):
         local = AnalysisCaches()
-        local.dbf_star.get("miss")
+        local.minprocs.get("miss")
         local.reset_counters()
-        assert local.dbf_star.misses == 0
+        assert local.minprocs.misses == 0
 
     def test_stats_shape(self):
         stats = AnalysisCaches().stats()
-        assert set(stats) == {"enabled", "dbf_star", "minprocs", "compiled"}
-
-    def test_total_dbf_approx_cached_equals_uncached(self):
-        tasks = [
-            SporadicTask(wcet=1.5, deadline=4.0, period=6.0),
-            SporadicTask(wcet=2.0, deadline=5.0, period=5.0),
-        ]
-        plain = [total_dbf_approx(tasks, t) for t in (0.0, 4.0, 5.0, 20.0)]
-        with caching():
-            warm = [total_dbf_approx(tasks, t) for t in (0.0, 4.0, 5.0, 20.0)]
-            again = [total_dbf_approx(tasks, t) for t in (0.0, 4.0, 5.0, 20.0)]
-            assert caches.dbf_star.hits > 0
-        assert warm == plain
-        assert again == plain
+        assert set(stats) == {"enabled", "minprocs", "compiled"}
 
     def test_metrics_mirror(self):
+        task = SporadicDAGTask(DAG({0: 1.0, 1: 1.0}, []), 2.0, 3.0, name="pair")
         with caching(), collecting() as m:
-            task = SporadicTask(wcet=1.0, deadline=2.0, period=3.0)
-            caches.dbf_star_value(task, 1.0)
-            caches.dbf_star_value(task, 1.0)
-        assert m.counter("cache.dbf_star.misses") == 1
-        assert m.counter("cache.dbf_star.hits") == 1
+            minprocs(task, 4)
+            minprocs(task, 4)
+        assert m.counter("cache.minprocs.misses") == 1
+        assert m.counter("cache.minprocs.hits") == 1
 
 
 # ---------------------------------------------------------------------------
