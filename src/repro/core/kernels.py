@@ -151,16 +151,20 @@ class CompiledDAG:
         self.vertices = verts
         #: Vertex identifier -> flat index.
         self.index = index
+        # Read the DAG's own adjacency tables directly: one dict lookup per
+        # vertex instead of a checked accessor call per vertex.
+        wcets, succ, pred = dag._wcets, dag._succ, dag._pred
         #: ``wcet[i]`` -- execution time of vertex ``i``.
-        self.wcet = [dag.wcet(v) for v in verts]
+        self.wcet = [wcets[v] for v in verts]
         succ_indptr = [0]
         succ_indices: list[int] = []
         pred_indptr = [0]
         pred_indices: list[int] = []
+        lookup = index.__getitem__
         for v in verts:
-            succ_indices.extend(index[s] for s in dag.successors(v))
+            succ_indices.extend(map(lookup, succ[v]))
             succ_indptr.append(len(succ_indices))
-            pred_indices.extend(index[p] for p in dag.predecessors(v))
+            pred_indices.extend(map(lookup, pred[v]))
             pred_indptr.append(len(pred_indices))
         #: CSR adjacency: successors of ``i`` are
         #: ``succ_indices[succ_indptr[i]:succ_indptr[i + 1]]``.
@@ -181,7 +185,8 @@ class CompiledDAG:
         """Longest-chain length starting at each vertex (inclusive), by index.
 
         Float-identical to ``list_scheduling._upward_rank``: same reverse
-        topological sweep, same ``wcet + max(successor ranks)`` expression.
+        topological sweep, same ``wcet + max(successor ranks)`` expression
+        (ranks are positive, so a running maximum from 0.0 is that max).
         """
         rank = self._upward
         if rank is None:
@@ -191,9 +196,10 @@ class CompiledDAG:
             indptr = self.succ_indptr
             succ = self.succ_indices
             for i in range(n - 1, -1, -1):
-                tail = max(
-                    (rank[j] for j in succ[indptr[i]:indptr[i + 1]]), default=0.0
-                )
+                tail = 0.0
+                for k in range(indptr[i], indptr[i + 1]):
+                    if rank[succ[k]] > tail:
+                        tail = rank[succ[k]]
                 rank[i] = wcet[i] + tail
             self._upward = rank
         return rank

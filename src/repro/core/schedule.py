@@ -168,14 +168,17 @@ class Schedule:
         2. no two slots on the same processor overlap;
         3. for every edge ``(u, v)``, slot(u).end <= slot(v).start.
         """
+        wcets = self._dag.wcets
+        by_processor: dict[int, list[Slot]] = {}
         for vertex, slot in self._slots.items():
-            wcet = self._dag.wcet(vertex)
+            wcet = wcets[vertex]
             if abs(slot.length - wcet) > _TOL * max(1.0, wcet):
                 raise ScheduleError(
                     f"slot of {vertex!r} has length {slot.length:g} but WCET is {wcet:g}"
                 )
-        for proc in range(self._processors):
-            ordered = self.slots_on(proc)
+            by_processor.setdefault(slot.processor, []).append(slot)
+        for proc in sorted(by_processor):
+            ordered = sorted(by_processor[proc])
             for a, b in zip(ordered, ordered[1:]):
                 if a.end > b.start + _TOL:
                     raise ScheduleError(

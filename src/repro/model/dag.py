@@ -292,17 +292,16 @@ class DAG:
     # structural computations
     # ------------------------------------------------------------------
     def _topological_sort(self) -> tuple[VertexId, ...]:
-        indegree = {v: len(self._pred[v]) for v in self._wcets}
+        succ = self._succ
+        indegree = {v: len(ws) for v, ws in self._pred.items()}
         # Deterministic order: fall back on insertion order of the mapping.
-        ready = [v for v in self._wcets if indegree[v] == 0]
-        order: list[VertexId] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in self._succ[v]:
+        # ``order`` doubles as the FIFO queue: its unread tail is the ready set.
+        order: list[VertexId] = [v for v, d in indegree.items() if d == 0]
+        for v in order:
+            for w in succ[v]:
                 indegree[w] -= 1
                 if indegree[w] == 0:
-                    ready.append(w)
+                    order.append(w)
         if len(order) != len(self._wcets):
             remaining = sorted(
                 (repr(v) for v in self._wcets if v not in set(order))
@@ -311,11 +310,21 @@ class DAG:
         return tuple(order)
 
     def _compute_longest_chain(self) -> float:
+        # Chain lengths are positive, so starting each maximum at 0.0 gives
+        # the same float as ``max(..., default=0.0)``.
+        pred = self._pred
+        wcets = self._wcets
         finish: dict[VertexId, float] = {}
+        longest = 0.0
         for v in self._topo:
-            best_pred = max((finish[p] for p in self._pred[v]), default=0.0)
-            finish[v] = best_pred + self._wcets[v]
-        return max(finish.values())
+            best = 0.0
+            for p in pred[v]:
+                if finish[p] > best:
+                    best = finish[p]
+            end = finish[v] = best + wcets[v]
+            if end > longest:
+                longest = end
+        return longest
 
     @property
     def volume(self) -> float:

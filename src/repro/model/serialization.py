@@ -34,10 +34,6 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def _encode_vertex(vertex: VertexId) -> str:
-    return str(vertex)
-
-
 def _decode_vertex(text: str) -> VertexId:
     try:
         return int(text)
@@ -45,19 +41,42 @@ def _decode_vertex(text: str) -> VertexId:
         return text
 
 
+class _VertexIds(dict):
+    """Raw ``wcets`` key -> decoded vertex id.
+
+    An edge endpoint that is not a key verbatim (an ``int``, or ``"07"``
+    beside a ``"7"`` key) decodes on its own, exactly as a key would.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, raw: Any) -> VertexId:
+        return _decode_vertex(raw)
+
+
 def dag_to_dict(dag: DAG) -> dict[str, Any]:
     """Encode a DAG as a JSON-compatible dictionary."""
+    wcets = dag.wcets
+    names = dict(zip(wcets, map(str, wcets)))
     return {
-        "wcets": {_encode_vertex(v): w for v, w in dag.wcets.items()},
-        "edges": [[_encode_vertex(u), _encode_vertex(v)] for u, v in dag.edges],
+        "wcets": dict(zip(names.values(), wcets.values())),
+        "edges": [[names[u], names[v]] for u, v in dag.edges],
     }
 
 
 def dag_from_dict(data: dict[str, Any]) -> DAG:
-    """Decode a DAG from :func:`dag_to_dict` output."""
+    """Decode a DAG from :func:`dag_to_dict` output.
+
+    Each ``wcets`` key is decoded once; edge endpoints map through that
+    table.  An unhashable endpoint raises :class:`ModelError`.
+    """
     try:
-        wcets = {_decode_vertex(v): float(w) for v, w in data["wcets"].items()}
-        edges = [(_decode_vertex(u), _decode_vertex(v)) for u, v in data["edges"]]
+        ids = _VertexIds()
+        wcets: dict[VertexId, float] = {}
+        for raw, w in data["wcets"].items():
+            ids[raw] = vertex = _decode_vertex(raw)
+            wcets[vertex] = float(w)
+        edges = [(ids[u], ids[v]) for u, v in data["edges"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed DAG dictionary: {exc}") from exc
     return DAG(wcets, edges)

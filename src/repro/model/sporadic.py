@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ModelError
 
@@ -56,9 +57,9 @@ class SporadicTask:
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def utilization(self) -> float:
-        """``u = C / T``."""
+        """``u = C / T``, computed once per task (shard probes read it often)."""
         return self.wcet / self.period
 
     @property

@@ -34,7 +34,6 @@ connection stays usable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from repro.errors import ServiceError
@@ -69,14 +68,16 @@ def encode(message: dict) -> bytes:
 def decode(line: bytes | str) -> dict:
     """Parse one protocol line into a request/response object.
 
-    Raises :class:`ServiceError` on unparsable JSON or a non-object
-    payload -- the server answers those with an error response instead of
-    dropping the connection.
+    Raises :class:`ServiceError` on bytes that are not UTF-8, unparsable
+    JSON or a non-object payload -- the server answers those with an error
+    response instead of dropping the connection.
     """
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         message = json.loads(line)
+    except UnicodeDecodeError as exc:
+        raise ServiceError(f"protocol line is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ServiceError(f"unparsable protocol line: {exc}") from exc
     if not isinstance(message, dict):
@@ -101,9 +102,15 @@ def error_response(code: str, message: str) -> dict:
 # ---------------------------------------------------------------------------
 def decision_to_dict(decision: AdmissionDecision) -> dict:
     """Serialize an :class:`AdmissionDecision` to a JSON-safe dict."""
-    payload = dataclasses.asdict(decision)
-    payload["processors"] = list(decision.processors)
-    return payload
+    return {
+        "accepted": decision.accepted,
+        "task_id": decision.task_id,
+        "kind": decision.kind,
+        "seq": decision.seq,
+        "processors": list(decision.processors),
+        "reason": decision.reason,
+        "latency_seconds": decision.latency_seconds,
+    }
 
 
 def decision_from_dict(payload: dict) -> AdmissionDecision:
@@ -127,9 +134,15 @@ def decision_from_dict(payload: dict) -> AdmissionDecision:
 
 def receipt_to_dict(receipt: DepartureReceipt) -> dict:
     """Serialize a :class:`DepartureReceipt` to a JSON-safe dict."""
-    payload = dataclasses.asdict(receipt)
-    payload["released"] = list(receipt.released)
-    return payload
+    return {
+        "task_id": receipt.task_id,
+        "kind": receipt.kind,
+        "seq": receipt.seq,
+        "released": list(receipt.released),
+        "migrations": receipt.migrations,
+        "clean": receipt.clean,
+        "latency_seconds": receipt.latency_seconds,
+    }
 
 
 def receipt_from_dict(payload: dict) -> DepartureReceipt:

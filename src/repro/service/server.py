@@ -118,11 +118,10 @@ class AdmissionServer:
         self._max_batch = max_batch
         self._queue: asyncio.Queue = asyncio.Queue()
         self._subscribers: list[_Subscriber] = []
-        # The commit loop's own tail reader: everything already in the
-        # journal at start is backlog (served to subscribers on demand);
-        # only records committed from here on are broadcast live.
-        self._follower = JournalFollower(durable.journal.path)
-        self._follower.poll()  # fast-forward past the existing history
+        # The commit loop's live tail reader, present only while someone
+        # subscribes: the first subscriber's backlog reader becomes it, and
+        # it is dropped with the last subscriber (see _handle_subscribe).
+        self._follower: JournalFollower | None = None
         self._server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
         self._commit_task: asyncio.Task | None = None
@@ -183,6 +182,7 @@ class AdmissionServer:
         for sub in self._subscribers:
             sub.writer.close()
         self._subscribers.clear()
+        self._follower = None
         self._durable.close()
         self._closed.set()
 
@@ -335,11 +335,15 @@ class AdmissionServer:
             return error_response("bad_request", str(exc))
 
     def _stream_committed(self) -> None:
-        """Broadcast newly committed journal records to every subscriber."""
+        """Broadcast newly committed journal records to every subscriber.
+
+        With no subscriber there is no follower, and the journal is not
+        read back at all.
+        """
+        if self._follower is None:
+            return
         records = self._follower.poll()
-        if not records or not self._subscribers:
-            # Still advance even with no subscribers: position tracks the
-            # live/backlog boundary for the next subscribe.
+        if not records:
             return
         dead: list[_Subscriber] = []
         for sub in self._subscribers:
@@ -350,7 +354,14 @@ class AdmissionServer:
             except (ConnectionError, RuntimeError):
                 dead.append(sub)
         for sub in dead:
+            self._drop_subscriber(sub)
+
+    def _drop_subscriber(self, sub: _Subscriber) -> None:
+        """Forget *sub*; with the last subscriber goes the live follower."""
+        if sub in self._subscribers:
             self._subscribers.remove(sub)
+        if not self._subscribers:
+            self._follower = None
 
     def _handle_subscribe(self, request: _Subscribe) -> None:
         try:
@@ -375,6 +386,11 @@ class AdmissionServer:
         request.writer.write(encode(response))
         for record in records:
             request.writer.write(encode({"record": record}))
+        # The backlog reader stopped at the end of the journal, and only the
+        # commit loop appends to it, so that end is the live boundary: the
+        # first subscriber's reader goes on as the live follower.
+        if self._follower is None:
+            self._follower = backlog
         subscriber.cursor.advance(self._follower.position)
         self._subscribers.append(subscriber)
         if _metrics.enabled:
@@ -480,8 +496,8 @@ class AdmissionServer:
                 await responder
             except asyncio.CancelledError:
                 pass
-            if subscriber is not None and subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
+            if subscriber is not None:
+                self._drop_subscriber(subscriber)
             writer.close()
 
     async def _dispatch(

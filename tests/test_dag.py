@@ -1,7 +1,11 @@
 """Unit tests for repro.model.dag."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.kernels import CompiledDAG
+from repro.core.list_scheduling import _upward_rank
 from repro.errors import CycleError, ModelError
 from repro.model.dag import DAG
 
@@ -222,3 +226,59 @@ class TestTimes:
     def test_parallelism_profile_ends_at_zero(self, diamond_dag):
         profile = diamond_dag.parallelism_profile()
         assert profile[-1][1] == 0
+
+
+@st.composite
+def _shuffled_dags(draw):
+    """Random DAGs whose vertex insertion order is not a topological order,
+    with ``int`` and ``float`` WCETs."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(n)))
+    wcets = {
+        v: draw(st.one_of(st.integers(1, 9), st.floats(0.1, 9.0)))
+        for v in draw(st.permutations(range(n)))
+    }
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return DAG(wcets, [p for p, keep in zip(pairs, mask) if keep])
+
+
+def _reference_order(dag):
+    """Kahn's algorithm with ``list.pop(0)``, ready set seeded in insertion order."""
+    indegree = {v: len(dag.predecessors(v)) for v in dag.wcets}
+    ready = [v for v in dag.wcets if indegree[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in dag.successors(v):
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return tuple(order)
+
+
+def _reference_longest(dag):
+    finish = {}
+    for v in dag.vertices:
+        best = max((finish[p] for p in dag.predecessors(v)), default=0.0)
+        finish[v] = best + dag.wcet(v)
+    return max(finish.values())
+
+
+class TestStructuralPassesMatchReference:
+    @given(_shuffled_dags())
+    def test_topological_order(self, dag):
+        assert dag.vertices == _reference_order(dag)
+
+    @given(_shuffled_dags())
+    def test_longest_chain_bit_identical(self, dag):
+        expected = _reference_longest(dag)
+        assert type(dag.longest_chain_length) is type(expected)
+        assert dag.longest_chain_length.hex() == expected.hex()
+
+    @given(_shuffled_dags())
+    def test_compiled_upward_rank_bit_identical(self, dag):
+        reference = _upward_rank(dag)
+        rank = CompiledDAG(dag).upward_rank()
+        assert [r.hex() for r in rank] == [reference[v].hex() for v in dag.vertices]

@@ -1,10 +1,14 @@
 """Unit tests for repro.core.schedule (template schedules)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ScheduleError
-from repro.core.schedule import Schedule, Slot
+from repro.core.schedule import _TOL, Schedule, Slot
 from repro.model.dag import DAG
+
+from strategies import dags
 
 
 def _slots_for_chain():
@@ -99,6 +103,104 @@ class TestValidation:
         dag = DAG.independent([2, 2])
         slots = [Slot(0, 2, 0, 0), Slot(0, 2, 1, 1)]
         Schedule(dag, slots, processors=2).validate()
+
+    # validate() groups slots by processor in one pass; one test per
+    # invariant on a wide cluster pins that every processor is still checked.
+    def test_overlap_on_highest_processor_detected(self):
+        dag = DAG.independent([2] * 6)
+        slots = [Slot(0, 2, p, p) for p in range(4)] + [
+            Slot(0, 2, 5, 4), Slot(1, 3, 5, 5),
+        ]
+        schedule = Schedule(dag, slots, processors=6)
+        with pytest.raises(ScheduleError, match="overlap on processor 5"):
+            schedule.validate()
+
+    def test_lowest_overlapping_processor_reported_first(self):
+        dag = DAG.independent([2] * 4)
+        slots = [Slot(1, 3, 3, 0), Slot(0, 2, 3, 1),
+                 Slot(0, 2, 1, 2), Slot(1, 3, 1, 3)]
+        schedule = Schedule(dag, slots, processors=4)
+        with pytest.raises(ScheduleError, match="2 and 3 overlap on processor 1"):
+            schedule.validate()
+
+    def test_precedence_break_across_processors_detected(self):
+        dag = DAG({0: 1, 1: 1, 2: 1, 3: 1}, [(0, 1), (2, 3)])
+        slots = [Slot(0, 1, 0, 0), Slot(1, 2, 1, 1),
+                 Slot(0, 1, 2, 2), Slot(0.5, 1.5, 3, 3)]
+        schedule = Schedule(dag, slots, processors=4)
+        with pytest.raises(ScheduleError, match="precedence violated: 2"):
+            schedule.validate()
+
+    def test_wcet_length_mismatch_on_high_processor_detected(self):
+        dag = DAG.independent([1, 1, 1])
+        slots = [Slot(0, 1, 0, 0), Slot(0, 1, 1, 1), Slot(0, 1.5, 2, 2)]
+        schedule = Schedule(dag, slots, processors=3)
+        with pytest.raises(ScheduleError, match="slot of 2 has length 1.5"):
+            schedule.validate()
+
+    def test_length_checked_before_overlap(self):
+        dag = DAG.independent([2, 2, 1])
+        slots = [Slot(0, 2, 0, 0), Slot(1, 3, 0, 1), Slot(0, 2, 1, 2)]
+        schedule = Schedule(dag, slots, processors=2)
+        with pytest.raises(ScheduleError, match="length"):
+            schedule.validate()
+
+
+def _reference_validate(schedule):
+    """The three invariants checked the direct way: every processor scans
+    every slot (O(P·n))."""
+    dag = schedule.dag
+    for vertex, slot in schedule._slots.items():  # slot insertion order
+        wcet = dag.wcet(vertex)
+        if abs(slot.length - wcet) > _TOL * max(1.0, wcet):
+            raise ScheduleError(
+                f"slot of {vertex!r} has length {slot.length:g} but WCET is {wcet:g}"
+            )
+    for proc in range(schedule.processors):
+        ordered = sorted(s for s in schedule._slots.values() if s.processor == proc)
+        for a, b in zip(ordered, ordered[1:]):
+            if a.end > b.start + _TOL:
+                raise ScheduleError(
+                    f"slots of {a.vertex!r} and {b.vertex!r} overlap on "
+                    f"processor {proc}"
+                )
+    for u, v in dag.edges:
+        if schedule.slot(u).end > schedule.slot(v).start + _TOL:
+            raise ScheduleError(
+                f"precedence violated: {u!r} ends at {schedule.slot(u).end:g} "
+                f"but successor {v!r} starts at {schedule.slot(v).start:g}"
+            )
+
+
+def _verdict(check, schedule):
+    try:
+        check(schedule)
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _arbitrary_schedules(draw):
+    """Slots with random starts/processors and (mostly) WCET lengths, so all
+    three invariants are broken now and then."""
+    dag = draw(dags(max_vertices=8))
+    processors = draw(st.integers(1, 4))
+    slots = []
+    for v in dag.vertices:
+        start = float(draw(st.integers(0, 12)))
+        stretch = draw(st.sampled_from([0.0, 0.0, 0.0, 0.5]))
+        slots.append(Slot(start, start + dag.wcet(v) + stretch,
+                          draw(st.integers(0, processors - 1)), v))
+    return Schedule(dag, draw(st.permutations(slots)), processors)
+
+
+class TestValidateEquivalence:
+    @given(_arbitrary_schedules())
+    def test_same_verdict_as_reference(self, schedule):
+        assert _verdict(Schedule.validate, schedule) == _verdict(
+            _reference_validate, schedule
+        )
 
 
 class TestMetrics:

@@ -94,6 +94,12 @@ class TestProtocol:
         with pytest.raises(ServiceError):
             decode(b"[1, 2, 3]\n")  # an array is not a request
 
+    def test_decode_rejects_invalid_utf8(self):
+        # Replacing the byte would admit a name the client never sent.
+        with pytest.raises(ServiceError, match="UTF-8"):
+            decode(b'{"op":"admit","task":{"name":"a\xff"}}\n')
+        assert decode('{"name":"a\u00ff"}'.encode()) == {"name": "a\u00ff"}
+
     def test_response_shapes(self):
         ok = ok_response("ping", extra=1)
         assert ok["ok"] and ok["op"] == "ping" and ok["extra"] == 1
@@ -118,6 +124,20 @@ class TestProtocol:
         )
         assert back == receipt
         assert isinstance(back.released, tuple)
+
+    def test_wire_dicts_match_dataclass_fields(self):
+        controller = AdmissionController(8)
+        decision = controller.admit(high_task("h", width=3))
+        receipt = controller.depart("h")
+        for obj, wire, seq_field in (
+            (decision, decision_to_dict(decision), "processors"),
+            (receipt, receipt_to_dict(receipt), "released"),
+        ):
+            expected = dataclasses.asdict(obj)
+            expected[seq_field] = list(expected[seq_field])
+            assert list(wire) == list(expected)  # same keys, same order
+            assert wire == expected
+            assert encode(wire) == encode(expected)
 
     def test_malformed_payloads_raise_typed_error(self):
         with pytest.raises(ServiceError):
@@ -314,6 +334,134 @@ async def _rpc(port: int, *requests: dict) -> list[dict]:
     return responses
 
 
+async def _subscribe(port: int, start: int):
+    """Open a replication stream from record *start*; returns its ack too."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(encode({"op": "subscribe", "from": start}))
+    await writer.drain()
+    ack = decode(await reader.readline())
+    assert ack["ok"], ack
+    return reader, writer, ack
+
+
+async def _lines(reader: asyncio.StreamReader, count: int) -> list[bytes]:
+    return [
+        await asyncio.wait_for(reader.readline(), timeout=10)
+        for _ in range(count)
+    ]
+
+
+async def _assert_drained(reader: asyncio.StreamReader) -> None:
+    """Nothing beyond what was read arrives: no duplicate at the tail."""
+    with pytest.raises(asyncio.TimeoutError):
+        await asyncio.wait_for(reader.readline(), timeout=0.2)
+
+
+async def _admit_batches(port: int, prefix: str, batches: int, size: int = 2):
+    """Commit *batches* separate batches (each ``_rpc`` awaits its acks)."""
+    for b in range(batches):
+        responses = await _rpc(port, *(
+            {"op": "admit", "task": task_to_dict(low_task(f"{prefix}{b}.{i}", 0.05))}
+            for i in range(size)
+        ))
+        assert all(r["ok"] for r in responses)
+
+
+async def _until(predicate) -> None:
+    for _ in range(400):
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("condition never held")
+
+
+class TestFollowerHandoff:
+    """The journal is read back only while someone subscribes; each stream
+    is exactly ``Journal.read`` from its offset, byte for byte."""
+
+    @staticmethod
+    def _expected(tmp_path, start: int) -> list[bytes]:
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        return [encode({"record": r}) for r in records[start:]]
+
+    def test_late_subscriber_after_unsubscribed_batches(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                await _admit_batches(server.tcp_port, "a", batches=3)
+                assert server._follower is None
+                reader, writer, ack = await _subscribe(server.tcp_port, 0)
+                assert ack["backlog"] == 7  # genesis + 3 batches of 2
+                lines = await _lines(reader, ack["backlog"])
+                await _admit_batches(server.tcp_port, "b", batches=2)
+                lines += await _lines(reader, 4)
+                await _assert_drained(reader)
+                writer.close()
+                return lines
+            finally:
+                await server.aclose()
+
+        lines = asyncio.run(scenario())
+        assert lines == self._expected(tmp_path, 0)
+
+    def test_second_subscriber_from_mid_journal(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path)
+            port = server.tcp_port
+            try:
+                await _admit_batches(port, "a", batches=2)
+                first, first_w, ack = await _subscribe(port, 1)
+                first_lines = await _lines(first, ack["backlog"])
+                await _admit_batches(port, "b", batches=2)
+                first_lines += await _lines(first, 4)
+                second, second_w, ack = await _subscribe(port, 3)
+                assert ack["backlog"] == 6
+                second_lines = await _lines(second, ack["backlog"])
+                await _admit_batches(port, "c", batches=1)
+                first_lines += await _lines(first, 2)
+                second_lines += await _lines(second, 2)
+                await _assert_drained(first)
+                await _assert_drained(second)
+                first_w.close()
+                second_w.close()
+                return first_lines, second_lines
+            finally:
+                await server.aclose()
+
+        first_lines, second_lines = asyncio.run(scenario())
+        assert first_lines == self._expected(tmp_path, 1)
+        assert second_lines == self._expected(tmp_path, 3)
+
+    def test_new_subscriber_after_the_last_one_left(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path)
+            port = server.tcp_port
+            try:
+                reader, writer, ack = await _subscribe(port, 0)
+                gone = await _lines(reader, ack["backlog"])
+                await _admit_batches(port, "a", batches=2)
+                gone += await _lines(reader, 4)
+                writer.close()
+                await _until(lambda: not server.replication_cursors)
+                assert server._follower is None
+                await _admit_batches(port, "b", batches=2)
+                reader, writer, ack = await _subscribe(port, 2)
+                assert ack["backlog"] == 7
+                lines = await _lines(reader, ack["backlog"])
+                await _admit_batches(port, "c", batches=1)
+                lines += await _lines(reader, 2)
+                await _assert_drained(reader)
+                writer.close()
+                await _until(lambda: server._follower is None)
+                return gone, lines
+            finally:
+                await server.aclose()
+
+        gone, lines = asyncio.run(scenario())
+        assert gone == self._expected(tmp_path, 0)[:5]
+        assert lines == self._expected(tmp_path, 2)
+
+
 class TestAdmissionServer:
     def test_admit_depart_query_round_trip(self, tmp_path):
         async def scenario():
@@ -393,6 +541,48 @@ class TestAdmissionServer:
         assert good["ok"] and good["decision"]["accepted"]
         assert not duplicate["ok"] and duplicate["code"] == "online_error"
         assert "already admitted" in duplicate["error"]
+
+    def test_invalid_utf8_is_a_bad_request_on_both_front_ends(self, tmp_path):
+        bad_task = json.dumps(task_to_dict(low_task("PLACEHOLDER"))).encode()
+        bad_task = bad_task.replace(b"PLACEHOLDER", b"a\xff")
+
+        async def scenario():
+            server = await _start_server(tmp_path, http=True)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.tcp_port
+                )
+                writer.write(b'{"op":"admit","task":' + bad_task + b"}\n")
+                writer.write(encode(
+                    {"op": "admit", "task": task_to_dict(low_task("good"))}
+                ))
+                await writer.drain()
+                tcp = [decode(await reader.readline()) for _ in range(2)]
+                writer.close()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.http_port
+                )
+                writer.write((
+                    "POST /admit HTTP/1.0\r\n"
+                    f"Content-Length: {len(bad_task)}\r\n\r\n"
+                ).encode() + bad_task)
+                await writer.drain()
+                head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+                writer.close()
+                return tcp, head.split(b"\r\n")[0], json.loads(body)
+            finally:
+                await server.aclose()
+
+        (bad, good), status, http_body = asyncio.run(scenario())
+        assert not bad["ok"] and bad["code"] == "bad_request"
+        assert "UTF-8" in bad["error"]
+        # The connection stayed usable and nothing else was admitted.
+        assert good["ok"] and good["decision"]["accepted"]
+        assert status.endswith(b"400 Bad Request")
+        assert not http_body["ok"] and http_body["code"] == "bad_request"
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        assert [r["kind"] for r in records] == ["genesis", "admit"]
+        assert records[1]["task"]["name"] == "good"
 
     def test_pipelined_admits_coalesce_into_batches(self, tmp_path):
         tasks = [low_task(f"p{i}", 0.1) for i in range(24)]

@@ -1,9 +1,15 @@
 """Unit tests for repro.model.sporadic (three-parameter tasks and DBFs)."""
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given
 
 from repro.errors import ModelError
 from repro.model.sporadic import SporadicTask
+
+from strategies import sporadic_tasks
 
 
 class TestValidation:
@@ -49,6 +55,36 @@ class TestDerived:
     def test_arbitrary_classification(self):
         t = SporadicTask(1, 6, 5)
         assert not t.is_constrained_deadline
+
+
+class TestUtilizationComputedOnce:
+    @given(sporadic_tasks())
+    def test_bit_identical_to_wcet_over_period(self, task):
+        expected = task.wcet / task.period
+        assert task.utilization.hex() == expected.hex()
+        assert task.utilization.hex() == expected.hex()  # the stored value
+
+    def test_stored_after_first_read(self):
+        task = SporadicTask(0.1, 0.7, 0.3)
+        assert "utilization" not in vars(task)
+        first = task.utilization
+        assert vars(task)["utilization"] is first
+        assert task.utilization is first
+
+    def test_not_a_field(self):
+        task = SporadicTask(1.0, 2.0, 3.0, name="a")
+        task.utilization
+        assert [f.name for f in dataclasses.fields(task)] == [
+            "wcet", "deadline", "period", "name",
+        ]
+        assert dataclasses.asdict(task) == {
+            "wcet": 1.0, "deadline": 2.0, "period": 3.0, "name": "a",
+        }
+        assert task == SporadicTask(1.0, 2.0, 3.0)
+        assert repr(task) == (
+            "SporadicTask(wcet=1.0, deadline=2.0, period=3.0, name='a')"
+        )
+        assert pickle.loads(pickle.dumps(task)).utilization == task.utilization
 
 
 class TestDbf:
