@@ -53,7 +53,6 @@ from pathlib import Path
 
 from repro.generation.tasksets import SystemConfig
 from repro.generation.traces import TraceConfig, generate_trace
-from repro.obs.events import tracing
 from repro.obs.flight import flight_recording
 from repro.obs.metrics import metrics
 from repro.obs.spans import SpanTracer, span_tracing
@@ -98,9 +97,9 @@ def _lit_replay(events, processors) -> float:
     """Time one replay with every CLI-armable facility lit.
 
     That is metrics + histograms, span tracing and the flight recorder --
-    exactly what ``--prom --trace-out --flight-dir`` arm together.  Decision
-    tracing (:func:`repro.obs.events.tracing`) is the CLI's *explain* mode,
-    not part of the telemetry surface, so it stays out of the overhead gate.
+    exactly what ``--prom --trace-out --flight-dir`` arm together.  The
+    decisions ride on the spans (:mod:`repro.obs.events`), so their cost is
+    inside the gate.
     """
     metrics.reset()
     metrics.enable()
@@ -212,7 +211,7 @@ def test_bench_telemetry_overhead_and_artifacts(tmp_path):
                 AdmissionController(_PROCESSORS), journal
             )
             with flight_recording(capacity=64, dump_dir=dump_dir):
-                with tracing():
+                with span_tracing():
                     replay(durable, events[:crash_at])
                 try:
                     raise RuntimeError("injected crash: power loss")
@@ -227,9 +226,9 @@ def test_bench_telemetry_overhead_and_artifacts(tmp_path):
     assert dump["reason"] == "excepthook:RuntimeError"
     assert dump["entries"][-1]["kind"] == "crash"
     decision_seqs = [
-        e["data"]["seq"] for e in dump["entries"]
-        if e["kind"] == "event"
-        and e["data"]["event"] in ("Admission", "Departure")
+        e["data"]["attributes"]["seq"] for e in dump["entries"]
+        if e["kind"] == "span"
+        and e["data"]["name"] in ("online.admit", "online.depart")
     ]
     # The ring's newest decisions are exactly the journal's final records.
     assert decision_seqs[-1] == pre_crash_entries - 1

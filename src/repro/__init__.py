@@ -24,8 +24,9 @@ Workloads & experiments
     :mod:`repro.experiments` -- the paper's evaluation harness.
 Observability
     :mod:`repro.obs` -- structured logging (:func:`configure_logging`),
-    decision tracing (:func:`~repro.obs.tracing`), and a metrics/timing
-    registry (:data:`~repro.obs.metrics`, :func:`~repro.obs.collecting`).
+    span traces that carry every decision (:func:`~repro.obs.span_tracing`,
+    :func:`~repro.obs.rejection`), and a metrics/timing registry
+    (:data:`~repro.obs.metrics`, :func:`~repro.obs.collecting`).
 """
 
 from repro import errors
@@ -58,7 +59,7 @@ from repro.model import (
     load_system,
     save_system,
 )
-from repro.obs import collecting, configure_logging, metrics, tracing
+from repro.obs import collecting, configure_logging, metrics, span_tracing
 
 __version__ = "1.0.0"
 
@@ -90,7 +91,7 @@ __all__ = [
     "load_system",
     "errors",
     "configure_logging",
-    "tracing",
+    "span_tracing",
     "collecting",
     "metrics",
     "__version__",

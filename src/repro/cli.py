@@ -28,7 +28,7 @@ from repro.baselines.partitioned_sequential import partitioned_sequential
 from repro.core.fedcons import fedcons
 from repro.generation.families import family_names, register_dax_family
 from repro.model.serialization import load_system
-from repro.obs import metrics, tracing
+from repro.obs import metrics, span_tracing
 from repro.obs.cli import add_observability_arguments, configure_from_args
 from repro.sim.executor import simulate_deployment
 from repro.sim.workload import ExecutionTimeModel, ReleasePattern
@@ -206,9 +206,10 @@ def analyze_main(argv: list[str] | None = None) -> int:
         "acceptance)",
     )
     parser.add_argument(
-        "--explain", type=Path, default=None, metavar="OUT.json",
-        help="write the full decision trace (every MINPROCS step, every "
-        "PARTITION placement, and the decisive rejection) as JSON",
+        "--explain", type=Path, default=None, metavar="OUT.jsonl",
+        help="write the span trace of the analysis with its decisions "
+        "(every MINPROCS step, every PARTITION placement, and the decisive "
+        "rejection) as JSONL (inspect with: fedcons-obs show OUT.jsonl)",
     )
     parser.add_argument(
         "--profile", type=Path, default=None, metavar="OUT.pstats",
@@ -234,23 +235,9 @@ def analyze_main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     if args.explain is not None:
-        with tracing() as trace:
+        with span_tracing() as tracer:
             result = fedcons(system, args.processors)
-        document = {
-            "system": args.system,
-            "processors": args.processors,
-            "success": result.success,
-            "reason": result.reason.value if result.reason else None,
-            **trace.to_dict(),
-        }
-        import json as _json
-
-        from repro.io import atomic_write_text
-
-        _write_artifact(
-            lambda p: atomic_write_text(p, _json.dumps(document, indent=2) + "\n"),
-            args.explain,
-        )
+        _write_artifact(tracer.to_jsonl, args.explain)
     else:
         result = fedcons(system, args.processors)
     print(result.describe())

@@ -44,9 +44,9 @@ from repro.core.schedule import Schedule
 from repro.model.dag import VertexId
 from repro.model.task import SporadicDAGTask
 from repro.model.taskset import TaskSystem
-from repro.obs.events import PhaseComplete, Rejection, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
+from repro.obs.spans import current_span as _current_span
 from repro.obs.spans import span as _span
 
 __all__ = [
@@ -227,7 +227,9 @@ def _fedcons(
     partition_admission: AdmissionTest,
 ) -> FedConsResult:
 
-    ctx = current_context()
+    # The ``fedcons`` span (None while tracing is off) collects the
+    # decision events: phase completions and the decisive rejection.
+    active = _current_span()
     started = time.perf_counter()
     if _metrics.enabled:
         _metrics.incr("fedcons_invocations")
@@ -262,19 +264,17 @@ def _fedcons(
     phase_start = time.perf_counter()
     for task in system:
         if task.span > task.deadline:
-            if ctx is not None:
-                name = task.name or repr(task)
-                ctx.record(
-                    Rejection(
-                        phase="validate",
-                        reason=FailureReason.STRUCTURALLY_INFEASIBLE.value,
-                        task=name,
-                        detail={
-                            "span": task.span,
-                            "deadline": task.deadline,
-                            "margin": task.deadline - task.span,
-                        },
-                    )
+            if active is not None:
+                active.add_event(
+                    "Rejection",
+                    phase="validate",
+                    reason=FailureReason.STRUCTURALLY_INFEASIBLE.value,
+                    task=task.name or repr(task),
+                    detail={
+                        "span": task.span,
+                        "deadline": task.deadline,
+                        "margin": task.deadline - task.span,
+                    },
                 )
             return _finish(
                 FedConsResult(
@@ -287,14 +287,13 @@ def _fedcons(
                     failed_task=task,
                 )
             )
-    if ctx is not None:
-        ctx.record(
-            PhaseComplete(
-                phase="validate",
-                ok=True,
-                duration=time.perf_counter() - phase_start,
-                detail={"tasks": len(system)},
-            )
+    if active is not None:
+        active.add_event(
+            "PhaseComplete",
+            phase="validate",
+            ok=True,
+            duration=time.perf_counter() - phase_start,
+            detail={"tasks": len(system)},
         )
 
     phase_start = time.perf_counter()
@@ -305,22 +304,21 @@ def _fedcons(
         result: MinProcsResult | None = minprocs(task, remaining, order=ls_order)
         if result is None:
             name = task.name or repr(task)
-            if ctx is not None:
-                ctx.record(
-                    Rejection(
-                        phase="minprocs",
-                        reason=FailureReason.HIGH_DENSITY_PHASE.value,
-                        task=name,
-                        detail={
-                            "available": remaining,
-                            "density": task.density,
-                            "minimum_cluster": max(
-                                1, math.ceil(task.density - 1e-12)
-                            ),
-                            "span": task.span,
-                            "deadline": task.deadline,
-                        },
-                    )
+            if active is not None:
+                active.add_event(
+                    "Rejection",
+                    phase="minprocs",
+                    reason=FailureReason.HIGH_DENSITY_PHASE.value,
+                    task=name,
+                    detail={
+                        "available": remaining,
+                        "density": task.density,
+                        "minimum_cluster": max(
+                            1, math.ceil(task.density - 1e-12)
+                        ),
+                        "span": task.span,
+                        "deadline": task.deadline,
+                    },
                 )
             _log.info(
                 "MINPROCS reject: %s needs more than the %d remaining "
@@ -359,21 +357,20 @@ def _fedcons(
         remaining -= result.processors
     minprocs_elapsed = time.perf_counter() - phase_start
     _metrics.record_time("fedcons.minprocs_seconds", minprocs_elapsed)
-    if ctx is not None:
-        ctx.record(
-            PhaseComplete(
-                phase="minprocs",
-                ok=True,
-                duration=minprocs_elapsed,
-                detail={
-                    "clusters": {
-                        a.task.name or repr(a.task): a.cluster_size
-                        for a in allocations
-                    },
-                    "dedicated": next_free,
-                    "remaining": remaining,
+    if active is not None:
+        active.add_event(
+            "PhaseComplete",
+            phase="minprocs",
+            ok=True,
+            duration=minprocs_elapsed,
+            detail={
+                "clusters": {
+                    a.task.name or repr(a.task): a.cluster_size
+                    for a in allocations
                 },
-            )
+                "dedicated": next_free,
+                "remaining": remaining,
+            },
         )
     _log.info(
         "FEDCONS minprocs phase done: %d high-density tasks on %d "
@@ -397,18 +394,17 @@ def _fedcons(
         part_span.set(success=part.success)
     partition_elapsed = time.perf_counter() - phase_start
     _metrics.record_time("fedcons.partition_seconds", partition_elapsed)
-    if ctx is not None:
-        ctx.record(
-            PhaseComplete(
-                phase="partition",
-                ok=part.success,
-                duration=partition_elapsed,
-                detail={
-                    "tasks": len(low),
-                    "processors": remaining,
-                    "used_processors": part.used_processors,
-                },
-            )
+    if active is not None:
+        active.add_event(
+            "PhaseComplete",
+            phase="partition",
+            ok=part.success,
+            duration=partition_elapsed,
+            detail={
+                "tasks": len(low),
+                "processors": remaining,
+                "used_processors": part.used_processors,
+            },
         )
     _log.info(
         "FEDCONS partition phase done: %d low-density tasks on %d shared "

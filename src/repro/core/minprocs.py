@@ -46,9 +46,9 @@ from repro.core.list_scheduling import compiled_priority, list_schedule, prepare
 from repro.core.schedule import Schedule
 from repro.model.dag import VertexId
 from repro.model.task import SporadicDAGTask
-from repro.obs.events import MinprocsStep, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
+from repro.obs.spans import current_span as _current_span
 from repro.obs.spans import span as _span
 
 __all__ = ["MinProcsResult", "minprocs", "minprocs_unbounded"]
@@ -165,7 +165,7 @@ def _minprocs_search(
     counters record actual LS work (``ls_runs``), while the returned
     ``attempts`` always reports the canonical linear-scan count.
     """
-    ctx = current_context()
+    active = _current_span()  # receives one MinprocsStep event per LS run
     name = task.name or repr(task)
     start = max(1, math.ceil(task.density - 1e-12))
     # Matches Schedule.meets_deadline's tolerance.
@@ -202,15 +202,14 @@ def _minprocs_search(
             payload = list_schedule(task.dag, mu, prepared=prepared)
             makespan = payload.makespan
             fits = payload.meets_deadline(task.deadline)
-        if ctx is not None:
-            ctx.record(
-                MinprocsStep(
-                    task=name,
-                    processors=mu,
-                    makespan=makespan,
-                    deadline=task.deadline,
-                    fits=fits,
-                )
+        if active is not None:
+            active.add_event(
+                "MinprocsStep",
+                task=name,
+                processors=mu,
+                makespan=makespan,
+                deadline=task.deadline,
+                fits=fits,
             )
         last_step_mu = mu
         _log.debug(
@@ -243,18 +242,17 @@ def _minprocs_search(
         if timing:
             _record_search()
         makespan, _fits, payload = _probe(mu)
-        if ctx is not None and last_step_mu != mu:
+        if active is not None and last_step_mu != mu:
             # The bracketed search's last probe may be a non-fitting lower
             # bound; re-emit the winning cluster so traces still end on a
             # fitting step (no extra LS run -- the probe is memoized).
-            ctx.record(
-                MinprocsStep(
-                    task=name,
-                    processors=mu,
-                    makespan=makespan,
-                    deadline=task.deadline,
-                    fits=True,
-                )
+            active.add_event(
+                "MinprocsStep",
+                task=name,
+                processors=mu,
+                makespan=makespan,
+                deadline=task.deadline,
+                fits=True,
             )
         if use_kernel:
             schedule = _kernels.build_schedule(task.dag, compiled, mu, payload)
@@ -335,7 +333,7 @@ def _minprocs_cached(
     largest budget searched; larger budgets re-run the search and upgrade
     the entry.
 
-    Cached answers skip the per-``mu`` :class:`MinprocsStep` trace events and
+    Cached answers skip the per-``mu`` ``MinprocsStep`` span events and
     ``minprocs_ls_runs`` counter updates (no List Scheduling actually runs);
     the returned result is identical to the uncached one, including the
     reconstructed ``attempts`` count.

@@ -43,9 +43,9 @@ from repro.core import dbf as dbf_mod
 from repro.core.shard import ShardState
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
-from repro.obs.events import PartitionAttempt, Rejection, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
+from repro.obs.spans import current_span as _current_span
 
 _log = get_logger(__name__)
 
@@ -226,7 +226,8 @@ def partition_sporadic(
     """
     if processors < 0:
         raise AnalysisError(f"processor count must be >= 0, got {processors}")
-    ctx = current_context()
+    # Receives the PartitionAttempt events and the decisive Rejection.
+    active = _current_span()
     buckets: list[list[SporadicTask]] = [[] for _ in range(processors)]
     # The DBF*-based tests are answered by incremental per-processor demand
     # ledgers (O(log bucket) per probe) instead of re-scanning every bucket.
@@ -251,25 +252,23 @@ def partition_sporadic(
         candidates = [k for k in range(processors) if fits(k, task)]
         if not candidates:
             name = task.name or repr(task)
-            if ctx is not None:
-                ctx.record(
-                    PartitionAttempt(
-                        task=name,
-                        deadline=task.deadline,
-                        wcet=task.wcet,
-                        utilization=task.utilization,
-                        processor=None,
-                        candidates=0,
-                        admitted=False,
-                    )
+            if active is not None:
+                active.add_event(
+                    "PartitionAttempt",
+                    task=name,
+                    deadline=task.deadline,
+                    wcet=task.wcet,
+                    utilization=task.utilization,
+                    processor=None,
+                    candidates=0,
+                    admitted=False,
                 )
-                ctx.record(
-                    Rejection(
-                        phase="partition",
-                        reason="no_processor_fits",
-                        task=name,
-                        detail=_rejection_detail(buckets, task),
-                    )
+                active.add_event(
+                    "Rejection",
+                    phase="partition",
+                    reason="no_processor_fits",
+                    task=name,
+                    detail=_rejection_detail(buckets, task),
                 )
             _log.info(
                 "PARTITION reject: %s (D=%g, C=%g, u=%.3f) fits none of %d "
@@ -288,17 +287,16 @@ def partition_sporadic(
             chosen = min(candidates, key=lambda k: _slack_after(buckets[k], task))
         else:  # WORST_FIT
             chosen = max(candidates, key=lambda k: _slack_after(buckets[k], task))
-        if ctx is not None:
-            ctx.record(
-                PartitionAttempt(
-                    task=task.name or repr(task),
-                    deadline=task.deadline,
-                    wcet=task.wcet,
-                    utilization=task.utilization,
-                    processor=chosen,
-                    candidates=len(candidates),
-                    admitted=True,
-                )
+        if active is not None:
+            active.add_event(
+                "PartitionAttempt",
+                task=task.name or repr(task),
+                deadline=task.deadline,
+                wcet=task.wcet,
+                utilization=task.utilization,
+                processor=chosen,
+                candidates=len(candidates),
+                admitted=True,
             )
         _log.debug(
             "PARTITION fit: %s -> shared P%d (%d/%d candidates)",

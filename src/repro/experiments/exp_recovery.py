@@ -22,7 +22,7 @@ generated traffic:
 
 The soak also exercises the flight recorder as the crash post-mortem
 artifact: each scenario's first wreck is journaled with the ring armed, and
-the resulting dump -- the decision events immediately preceding the
+the resulting dump -- the decision spans immediately preceding the
 simulated crash -- is validated and counted in the table.
 """
 
@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.experiments.reporting import Table
 from repro.generation.traces import TraceConfig, generate_trace
-from repro.obs import flight_recording, tracing
+from repro.obs import flight_recording, span_tracing
 from repro.online.controller import AdmissionController
 from repro.online.persist import (
     DurableController,
@@ -97,7 +97,7 @@ def _build_wreck(
             replay(durable, events)
         else:
             with flight_recording(capacity=64) as recorder:
-                with tracing():
+                with span_tracing():
                     replay(durable, events)
             recorder.dump(flight_dump, reason="EXP-R simulated crash")
     return (
@@ -142,13 +142,16 @@ def _crash_table(samples: int, seed: int, boundary_stride: int) -> Table:
                     assert entries, "flight dump captured no pre-crash events"
                     decisions = [
                         e for e in entries
-                        if e["kind"] == "event"
-                        and e["data"]["event"] in ("Admission", "Departure")
+                        if e["kind"] == "span"
+                        and e["data"]["name"] in ("online.admit", "online.depart")
                     ]
-                    assert decisions, "flight dump holds no decision events"
+                    assert decisions, "flight dump holds no decision spans"
                     # The ring's newest decision must be the journal's final
                     # committed record -- the event a post-mortem cares about.
-                    assert decisions[-1]["data"]["seq"] == len(lines) - 1
+                    assert (
+                        decisions[-1]["data"]["attributes"]["seq"]
+                        == len(lines) - 1
+                    )
                     flight_entries += len(entries)
                 records += len(lines)
                 # Replay an oracle controller record by record so every
@@ -195,7 +198,7 @@ def _crash_table(samples: int, seed: int, boundary_stride: int) -> Table:
     table.notes.append(
         "'flight entries' counts ring entries in the post-mortem flight "
         "dump of each scenario's first wreck; the dump's newest decision "
-        "event is asserted to be the journal's final committed record."
+        "span is asserted to be the journal's final committed record."
     )
     return table
 

@@ -29,12 +29,21 @@ __all__ = [
     "system_from_dict",
     "save_system",
     "load_system",
+    "encode_vertex",
+    "decode_vertex",
 ]
 
 _FORMAT_VERSION = 1
 
 
-def _decode_vertex(text: str) -> VertexId:
+#: The vertex-id codec of every JSON format that stores vertex ids (task
+#: dictionaries here, template snapshots in :mod:`repro.online.controller`):
+#: an id is written as ``str(vertex)`` and read back by :func:`decode_vertex`.
+encode_vertex = str
+
+
+def decode_vertex(text: str) -> VertexId:
+    """A stored vertex id: ``int`` when *text* parses as one, else *text*."""
     try:
         return int(text)
     except (TypeError, ValueError):
@@ -51,13 +60,13 @@ class _VertexIds(dict):
     __slots__ = ()
 
     def __missing__(self, raw: Any) -> VertexId:
-        return _decode_vertex(raw)
+        return decode_vertex(raw)
 
 
 def dag_to_dict(dag: DAG) -> dict[str, Any]:
     """Encode a DAG as a JSON-compatible dictionary."""
     wcets = dag.wcets
-    names = dict(zip(wcets, map(str, wcets)))
+    names = dict(zip(wcets, map(encode_vertex, wcets)))
     return {
         "wcets": dict(zip(names.values(), wcets.values())),
         "edges": [[names[u], names[v]] for u, v in dag.edges],
@@ -74,7 +83,7 @@ def dag_from_dict(data: dict[str, Any]) -> DAG:
         ids = _VertexIds()
         wcets: dict[VertexId, float] = {}
         for raw, w in data["wcets"].items():
-            ids[raw] = vertex = _decode_vertex(raw)
+            ids[raw] = vertex = decode_vertex(raw)
             wcets[vertex] = float(w)
         edges = [(ids[u], ids[v]) for u, v in data["edges"]]
     except (KeyError, TypeError, AttributeError) as exc:

@@ -1,17 +1,17 @@
 """Observability: logging, decision tracing, metrics, spans & flight record.
 
-Five independent, individually-zero-cost facilities:
+Five individually-zero-cost facilities:
 
 ``repro.obs.logging``
     A library-wide ``repro`` logger hierarchy -- silent by default
     (NullHandler), one-call setup via :func:`configure_logging` with plain or
     JSON-lines output.
 ``repro.obs.events``
-    Typed decision-trace events (:class:`MinprocsStep`,
-    :class:`PartitionAttempt`, :class:`PhaseComplete`, :class:`Rejection`)
-    collected by a contextvar-scoped :class:`ObsContext` -- so a FEDCONS
-    rejection comes with an exportable, machine-readable explanation of which
-    task, phase and bound failed.
+    The decision facts the spans carry -- admission verdicts as span
+    attributes, MINPROCS steps, PARTITION attempts, phase completions and
+    the decisive ``Rejection`` as span events -- and :func:`decision_events`
+    / :func:`rejection` to read them back, so a FEDCONS rejection comes with
+    a machine-readable explanation of which task, phase and bound failed.
 ``repro.obs.metrics``
     A registry of counters, wall-clock timers and mergeable log-bucketed
     latency :class:`Histogram`\\ s (p50/p95/p99/max) over the analysis,
@@ -23,42 +23,26 @@ Five independent, individually-zero-cost facilities:
     timed, attributed spans (controller -> probe -> journal), exported as
     OTLP-inspired JSONL that ``fedcons-obs show`` renders as trees.
 ``repro.obs.flight``
-    A flight recorder: a bounded ring of the most recent spans, events and
-    metric observations, dumped on demand or automatically from an
+    A flight recorder: a bounded ring of the most recent spans and metric
+    observations, dumped on demand or automatically from an
     excepthook/``SIGUSR1`` handler -- the post-mortem artifact for crash
     recovery experiments.
 
 Typical use::
 
-    from repro.obs import configure_logging, tracing, collecting, span_tracing
+    from repro.obs import configure_logging, collecting, rejection, span_tracing
 
     configure_logging("DEBUG")                # watch every decision
-    with tracing() as trace, collecting() as m, span_tracing() as spans:
+    with collecting() as m, span_tracing() as spans:
         result = fedcons(system, m=8)
     if not result.success:
-        trace.to_json("why_rejected.json")    # rejection + full event log
+        print(rejection(spans))               # failing phase, task, bound
     print(m.snapshot()["counters"])           # dbf_star_evaluations, ...
     print(m.histogram("fedcons.total_seconds").quantile(0.99))
     spans.to_jsonl("trace.jsonl")             # fedcons-obs show trace.jsonl
 """
 
-from repro.obs.events import (
-    Admission,
-    BatchCommit,
-    Checkpoint,
-    Departure,
-    MinprocsStep,
-    ObsContext,
-    ObsEvent,
-    PartitionAttempt,
-    PhaseComplete,
-    Promotion,
-    Reclamation,
-    Recovery,
-    Rejection,
-    current_context,
-    tracing,
-)
+from repro.obs.events import decision_events, rejection
 from repro.obs.flight import FlightRecorder, flight, flight_recording
 from repro.obs.logging import (
     ROOT_LOGGER_NAME,
@@ -99,21 +83,8 @@ __all__ = [
     "JsonFormatter",
     "configure_logging",
     "get_logger",
-    "ObsEvent",
-    "ObsContext",
-    "MinprocsStep",
-    "PartitionAttempt",
-    "PhaseComplete",
-    "Rejection",
-    "Admission",
-    "BatchCommit",
-    "Departure",
-    "Promotion",
-    "Reclamation",
-    "Checkpoint",
-    "Recovery",
-    "current_context",
-    "tracing",
+    "decision_events",
+    "rejection",
     "MetricsRegistry",
     "TimerStats",
     "Histogram",

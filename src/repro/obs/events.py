@@ -1,338 +1,73 @@
-"""Decision tracing: typed events explaining what the algorithms decided.
+"""Decision events: why an analysis or an admission decided as it did.
 
-A :class:`ObsContext` collects a chronological list of typed events while it
-is *active*.  Activation is scoped with the :func:`tracing` context manager
-and carried through a :class:`contextvars.ContextVar`, so it composes with
-threads and nested calls without threading an argument through every
-signature.  When no context is active, instrumented code pays a single
-``ContextVar.get()`` (a few tens of nanoseconds) per instrumented *function
-call* -- events are only constructed when a context is listening.
+Every decision fact is recorded once, on the span tracer of
+:mod:`repro.obs.spans` (armed by :func:`~repro.obs.spans.span_tracing`,
+``--trace-out`` and ``fedcons-analyze --explain``):
 
-The events answer the question the plain boolean verdicts cannot: *why* was
-this system rejected, by which phase (MINPROCS vs PARTITION), on which task,
-and by how much margin.  :meth:`ObsContext.to_json` exports the whole trace
-for the CLI's ``--explain`` flag.
+* A fact about the operation a span covers is an attribute of that span.
+  ``online.admit`` carries ``kind``, ``accepted``, ``seq``, ``processors``
+  and ``reason``; ``online.depart`` carries ``kind``, ``seq``, ``released``,
+  ``migrations`` and ``clean``; ``online.checkpoint.write``,
+  ``online.recover``, ``service.commit_batch`` and ``service.promote``
+  likewise carry what they wrote, replayed, committed or took over.
+* A fact that repeats inside one span is a span event
+  (:meth:`~repro.obs.spans.Span.add_event`), named for what it records:
 
-Events also feed the other telemetry facilities when those are active:
-recording an event annotates the innermost open span
-(:mod:`repro.obs.spans`) with the event's name, and leaves a copy in the
-flight-recorder ring (:mod:`repro.obs.flight`) -- so a span trace or a
-post-mortem dump carries the *decisions* alongside the timings.
+  ``MinprocsStep`` (``task``, ``processors``, ``makespan``, ``deadline``, ``fits``)
+      one List-Scheduling attempt of the MINPROCS search; the last step of
+      a successful search has ``fits=True``.
+  ``PartitionAttempt`` (``task``, ``deadline``, ``wcet``, ``utilization``, ``processor``, ``candidates``, ``admitted``)
+      the placement of one low-density task during PARTITION;
+      ``processor`` is ``None`` when no shared processor admitted it.
+  ``PhaseComplete`` (``phase``, ``ok``, ``duration``, ``detail``)
+      a FEDCONS phase (``validate``, ``minprocs``, ``partition``) finished.
+  ``Rejection`` (``phase``, ``reason``, ``task``, ``detail``)
+      the decisive event of a failed analysis: the failing phase, the
+      violated condition, the first task that could not be accommodated,
+      and the violated bound (critical path vs deadline, processors
+      demanded vs available, or the best demand/rate slack any shared
+      processor could offer).
+
+With no tracer active nothing is built: instrumented code reads
+:func:`~repro.obs.spans.current_span` once per call and skips the events
+when it is ``None``.  :func:`decision_events` and :func:`rejection` read the
+events back, from a live tracer or from trace JSONL loaded with
+:func:`~repro.obs.spans.load_spans`.
 """
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
-from collections.abc import Iterator
-from pathlib import Path
-from typing import TypeVar
+from collections.abc import Iterable
 
-from repro.obs.flight import flight as _flight
-from repro.obs.spans import current_span as _current_span
+from repro.obs.spans import Span, SpanTracer
 
-__all__ = [
-    "ObsEvent",
-    "PhaseComplete",
-    "MinprocsStep",
-    "PartitionAttempt",
-    "Rejection",
-    "Admission",
-    "Departure",
-    "Reclamation",
-    "Checkpoint",
-    "Recovery",
-    "ObsContext",
-    "current_context",
-    "tracing",
-]
+__all__ = ["decision_events", "rejection"]
 
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """Base class of all decision-trace events."""
+def decision_events(
+    spans: SpanTracer | Iterable[Span | dict], name: str | None = None
+) -> list[dict]:
+    """The span events named *name* (every event when ``None``), in order.
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation; ``event`` holds the event type name.
-
-        A shallow field dump, not :func:`dataclasses.asdict`: the events are
-        frozen and their payloads are never mutated after recording, so the
-        deep copy would buy nothing and costs ~10x (this runs on the hot
-        path whenever the flight recorder taps decision events).
-        """
-        cls = type(self)
-        names = _FIELD_NAMES.get(cls)
-        if names is None:
-            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-        out = {"event": cls.__name__}
-        for name in names:
-            out[name] = getattr(self, name)
-        return out
-
-
-#: Per-class field-name cache for the shallow ``to_dict`` dump.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-@dataclass(frozen=True)
-class PhaseComplete(ObsEvent):
-    """A top-level algorithm phase finished.
-
-    ``phase`` is one of ``"validate"``, ``"minprocs"``, ``"partition"``;
-    ``ok`` is whether the phase admitted everything it saw; ``duration``
-    is wall-clock seconds; ``detail`` carries phase-specific summary data
-    (cluster sizes, processors remaining, bucket utilizations, ...).
+    Each event comes back as ``{"event": name, **attributes}``.  Events of
+    different spans are ordered by when they were recorded.
     """
-
-    phase: str
-    ok: bool
-    duration: float
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MinprocsStep(ObsEvent):
-    """One List-Scheduling attempt of the MINPROCS binary search.
-
-    ``fits`` records whether the template built on ``processors`` processors
-    met the deadline; the last step of a successful search has ``fits=True``.
-    """
-
-    task: str
-    processors: int
-    makespan: float
-    deadline: float
-    fits: bool
+    if isinstance(spans, SpanTracer):
+        spans = spans.finished
+    timed = []
+    for s in spans:
+        record = s if isinstance(s, dict) else s.to_dict()
+        for event in record["events"]:
+            if name is None or event["name"] == name:
+                timed.append((
+                    record["wall_start"] + event["offset"],
+                    {"event": event["name"], **event.get("attributes", {})},
+                ))
+    timed.sort(key=lambda pair: pair[0])
+    return [event for _, event in timed]
 
 
-@dataclass(frozen=True)
-class PartitionAttempt(ObsEvent):
-    """Placement outcome for one low-density task during PARTITION.
-
-    ``processor`` is the chosen shared-processor index (``None`` when no
-    processor admitted the task); ``candidates`` is how many processors
-    passed the admission test.
-    """
-
-    task: str
-    deadline: float
-    wcet: float
-    utilization: float
-    processor: int | None
-    candidates: int
-    admitted: bool
-
-
-@dataclass(frozen=True)
-class Rejection(ObsEvent):
-    """The decisive event of a failed analysis.
-
-    ``phase`` names the failing phase (``"validate"``, ``"minprocs"`` or
-    ``"partition"``), ``reason`` the violated condition, ``task`` the first
-    task that could not be accommodated, and ``detail`` quantifies the
-    violated bound (e.g. critical-path length vs deadline, processors
-    demanded vs available, or the best demand/rate slack any shared
-    processor could offer).
-    """
-
-    phase: str
-    reason: str
-    task: str
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Admission(ObsEvent):
-    """The online controller decided one ``admit(task)`` request.
-
-    ``kind`` is ``"high_density"`` or ``"low_density"``; ``processors`` lists
-    the physical processors granted (the dedicated cluster, or the single
-    shared processor the task was placed on); ``reason`` names the violated
-    phase on rejection; ``detail`` quantifies the decision (cluster size,
-    candidate count, remaining pool...).
-    """
-
-    task: str
-    kind: str
-    accepted: bool
-    seq: int
-    processors: tuple[int, ...] = ()
-    reason: str | None = None
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Departure(ObsEvent):
-    """The online controller processed one ``depart(task_id)`` request.
-
-    ``released`` lists physical processors returned to the shared pool (the
-    departing task's dedicated cluster; empty for a low-density departure);
-    ``migrations`` counts low-density tasks moved by the compaction pass.
-    """
-
-    task: str
-    kind: str
-    seq: int
-    released: tuple[int, ...] = ()
-    migrations: int = 0
-
-
-@dataclass(frozen=True)
-class Checkpoint(ObsEvent):
-    """The durable controller wrote (rotated) a state checkpoint.
-
-    ``journal_entries`` is the number of journal records the snapshot
-    reflects -- recovery replays only records after it.
-    """
-
-    path: str
-    journal_entries: int
-    admitted: int
-    seq: int
-
-
-@dataclass(frozen=True)
-class Recovery(ObsEvent):
-    """A controller was rebuilt from durable state after a (simulated) crash.
-
-    ``checkpoint_used`` is whether a snapshot seeded the rebuild (otherwise
-    the journal was replayed from genesis); ``replayed`` counts journal
-    records applied on top; ``torn_tail`` records whether a crash-torn final
-    journal record was detected and skipped.
-    """
-
-    checkpoint_used: bool
-    journal_entries: int
-    replayed: int
-    torn_tail: bool
-    admitted: int
-
-
-@dataclass(frozen=True)
-class Reclamation(ObsEvent):
-    """Outcome of a post-departure reclamation/compaction pass.
-
-    ``clean`` records whether the replayed (defragmented) assignment passed
-    the full ``DBF*`` safety obligation and was committed; when ``False`` the
-    pre-departure placements were kept (minus the departed task), which is
-    always sound but may no longer match a from-scratch re-analysis.
-    """
-
-    source: str
-    processors: tuple[int, ...]
-    migrations: int
-    clean: bool
-
-
-@dataclass(frozen=True)
-class BatchCommit(ObsEvent):
-    """The admission service committed one coalesced batch of arrivals.
-
-    ``size`` counts the requests coalesced into the group; ``accepted``
-    how many were admitted; ``synced`` whether the group ended with a
-    journal fsync (the batch's durability point).
-    """
-
-    size: int
-    accepted: int
-    synced: bool
-
-
-@dataclass(frozen=True)
-class Promotion(ObsEvent):
-    """A warm standby took over after the primary died.
-
-    ``replicated`` counts journal records the standby had already applied
-    when the primary was declared dead; ``staleness`` is the in-flight
-    window (primary records never streamed); ``verified`` whether the
-    promoted state passed ``recover(verify=True)``-equivalence;
-    ``failover_seconds`` is the measured death-to-serving time.
-    """
-
-    replicated: int
-    staleness: int
-    verified: bool
-    failover_seconds: float
-
-
-E = TypeVar("E", bound=ObsEvent)
-
-
-class ObsContext:
-    """Chronological collector of :class:`ObsEvent` records."""
-
-    def __init__(self) -> None:
-        self.events: list[ObsEvent] = []
-
-    def record(self, event: ObsEvent) -> None:
-        """Append one event (and annotate the active span/flight ring)."""
-        self.events.append(event)
-        active = _current_span()
-        if active is not None:
-            task = getattr(event, "task", None)
-            if task is None:
-                active.add_event(type(event).__name__)
-            else:
-                active.add_event(type(event).__name__, task=task)
-        if _flight.enabled:
-            # Frozen dataclass: the ring serializes it lazily at dump time.
-            _flight.record("event", event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def events_of(self, kind: type[E]) -> list[E]:
-        """All recorded events of the given type, in order."""
-        return [e for e in self.events if isinstance(e, kind)]
-
-    @property
-    def rejection(self) -> Rejection | None:
-        """The decisive :class:`Rejection`, if the traced run failed."""
-        rejections = self.events_of(Rejection)
-        return rejections[-1] if rejections else None
-
-    def to_dict(self) -> dict:
-        """JSON-ready trace: every event plus the decisive rejection."""
-        rejection = self.rejection
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "rejection": rejection.to_dict() if rejection else None,
-        }
-
-    def to_json(self, path: str | Path, indent: int = 2) -> None:
-        """Write the trace as a JSON document to *path* (atomic write)."""
-        from repro.io import atomic_write_text
-
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=indent) + "\n")
-
-
-_CURRENT: ContextVar[ObsContext | None] = ContextVar(
-    "repro_obs_context", default=None
-)
-
-
-def current_context() -> ObsContext | None:
-    """The active :class:`ObsContext`, or ``None`` when tracing is off.
-
-    Instrumented code calls this once per function invocation and only
-    builds events when the result is not ``None``.
-    """
-    return _CURRENT.get()
-
-
-@contextmanager
-def tracing(context: ObsContext | None = None) -> Iterator[ObsContext]:
-    """Activate decision tracing for the dynamic extent of the block.
-
-    A fresh :class:`ObsContext` is created unless one is supplied (supplying
-    one lets a caller accumulate several analyses into a single trace).
-    Contexts nest: the innermost active context receives the events.
-    """
-    context = context if context is not None else ObsContext()
-    token = _CURRENT.set(context)
-    try:
-        yield context
-    finally:
-        _CURRENT.reset(token)
+def rejection(spans: SpanTracer | Iterable[Span | dict]) -> dict | None:
+    """The decisive ``Rejection`` event, or ``None`` if nothing was rejected."""
+    rejections = decision_events(spans, "Rejection")
+    return rejections[-1] if rejections else None

@@ -5,14 +5,14 @@ whole telemetry stream, but the question after a crash is always about the
 *recent past*: what were the last admissions, which span was open, which
 counters moved just before the process died.  The
 :class:`FlightRecorder` answers exactly that -- a fixed-capacity
-``collections.deque`` of the most recent spans, decision events and metric
-deltas, fed by the other ``repro.obs`` facilities whenever the recorder is
-enabled, and dumped on demand or automatically from an installed
-``sys.excepthook`` / ``SIGUSR1`` handler.
+``collections.deque`` of the most recent spans and metric deltas, fed by
+the other ``repro.obs`` facilities whenever the recorder is enabled, and
+dumped on demand or automatically from an installed ``sys.excepthook`` /
+``SIGUSR1`` handler.
 
 The recorder is a *tap*, not a source: spans are captured when a span
-tracer is active (:mod:`repro.obs.spans`), decision events when an
-:class:`~repro.obs.events.ObsContext` is active, and metric deltas when the
+tracer is active (:mod:`repro.obs.spans`) -- and with them the decisions
+they carry (:mod:`repro.obs.events`) -- and metric deltas when the
 :data:`~repro.obs.metrics.metrics` registry is collecting.  Enabling the
 recorder alone costs one attribute check at each of those choke points and
 records nothing until telemetry flows.
@@ -22,13 +22,13 @@ Typical use::
     from repro.obs import flight_recording
 
     with flight_recording(capacity=200) as recorder:
-        serve_forever()          # spans/events/metric deltas tap in
+        serve_forever()          # spans and metric deltas tap in
     # ... or post-mortem, from the installed excepthook:
     #     flight-<pid>-<n>.json appears in the configured dump directory
 
 Entries are plain dicts ``{"seq": int, "ts": float, "kind": str, "data":
-{...}}`` where ``kind`` is one of ``"span"``, ``"event"``, ``"timer"`` or
-``"histogram"`` and ``data`` is the producer's payload; ``seq`` increases
+{...}}`` where ``kind`` is one of ``"span"``, ``"timer"``, ``"histogram"``
+or ``"crash"`` and ``data`` is the producer's payload; ``seq`` increases
 monotonically over the recorder's lifetime, so a dump shows how much
 history the ring evicted.
 """

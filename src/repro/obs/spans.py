@@ -123,9 +123,9 @@ class Span:
     def add_event(self, name: str, **attributes: object) -> None:
         """Record a point-in-time event inside the span.
 
-        This is how the typed decision events of :mod:`repro.obs.events`
-        link into traces: :meth:`ObsContext.record` adds the event's class
-        name (and key fields) to the active span.
+        Decisions that repeat inside one span (MINPROCS steps, PARTITION
+        attempts, phase completions, the decisive rejection) are recorded
+        this way; :mod:`repro.obs.events` lists them.
         """
         entry: dict = {"name": name, "offset": time.perf_counter() - self.start}
         if attributes:

@@ -1,9 +1,10 @@
 """``fedcons-obs``: inspect and combine exported telemetry artifacts.
 
 Operates purely on files the other entry points already produce -- metrics
-snapshot JSON (``--metrics``), trace JSONL (``--trace-out``) and flight
-dumps (``--flight-dir``) -- so telemetry can be examined after the fact on
-a machine that never ran the workload::
+snapshot JSON (``--metrics``), trace JSONL (``--trace-out`` and
+``fedcons-analyze --explain``) and flight dumps (``--flight-dir``) -- so
+telemetry can be examined after the fact on a machine that never ran the
+workload::
 
     fedcons-obs show trace.jsonl            # render span trees
     fedcons-obs diff before.json after.json # what changed between snapshots
@@ -12,10 +13,11 @@ a machine that never ran the workload::
     fedcons-obs flight dump.json            # summarize a post-mortem dump
 
 ``show`` groups spans by ``trace_id`` and prints each trace as an indented
-tree with durations and attributes; ``diff`` prints counter/timer deltas
-between two snapshots; ``merge`` folds any number of snapshots with the
-same exact-histogram semantics the parallel engine uses; ``prom`` converts
-a stored snapshot to Prometheus exposition without re-running anything.
+tree with durations, attributes and decision events; ``diff`` prints
+counter/timer deltas between two snapshots; ``merge`` folds any number of
+snapshots with the same exact-histogram semantics the parallel engine uses;
+``prom`` converts a stored snapshot to Prometheus exposition without
+re-running anything.
 """
 
 from __future__ import annotations
@@ -180,15 +182,12 @@ def _flight(args: argparse.Namespace) -> int:
     for entry in tail:
         data = entry.get("data", {})
         kind = entry.get("kind")
-        if kind == "event":
-            detail = data.get("event", "?")
-            task = data.get("task")
-            if task:
-                detail += f" task={task}"
-        elif kind == "span":
+        if kind == "span":
+            # Decisions ride on their spans' attributes (seq, accepted, ...).
             detail = (
                 f"{data.get('name', '?')} "
                 f"{data.get('duration_seconds', 0.0) * 1e3:.3f}ms"
+                f"{_format_attributes(data.get('attributes', {}))}"
             )
         elif kind in ("timer", "histogram"):
             value = data.get("seconds", data.get("value"))

@@ -76,15 +76,20 @@ import numpy as np
 from repro.errors import OnlineError, PersistenceError
 from repro.core.fedcons import FailureReason, FedConsResult, fedcons
 from repro.core.kernels import flags as _kernel_flags
+from repro.core.list_scheduling import PRIORITY_ORDERS
 from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, PartitionResult, TaskOrder
 from repro.core.schedule import Schedule, Slot
 from repro.core.shard import ShardProbeMatrix, ShardState
-from repro.model.serialization import task_from_dict, task_to_dict
+from repro.model.serialization import (
+    decode_vertex,
+    encode_vertex,
+    task_from_dict,
+    task_to_dict,
+)
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
 from repro.model.taskset import TaskSystem
-from repro.obs.events import Admission, Departure, Reclamation, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
 from repro.obs.spans import current_span as _current_span
@@ -189,24 +194,13 @@ class _Cluster:
     __slots__ = ("task", "processors", "schedule", "seq")
 
 
-def _encode_vertex(vertex) -> str:
-    return str(vertex)
-
-
-def _decode_vertex(text: str):
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        return text
-
-
 def _template_to_dict(schedule: Schedule) -> dict:
     """JSON-ready lossless encoding of one dedicated LS template."""
     return {
         "processors": schedule.processors,
         "makespan": schedule.makespan,
         "slots": [
-            [_encode_vertex(s.vertex), s.start, s.end, s.processor]
+            [encode_vertex(s.vertex), s.start, s.end, s.processor]
             for s in schedule.slots
         ],
         "digest": template_digest(schedule),
@@ -219,7 +213,7 @@ def _template_from_dict(data: dict, task: SporadicDAGTask) -> Schedule:
         slots = [
             Slot(
                 start=float(start), end=float(end),
-                processor=int(proc), vertex=_decode_vertex(vertex),
+                processor=int(proc), vertex=decode_vertex(vertex),
             )
             for vertex, start, end, proc in data["slots"]
         ]
@@ -249,7 +243,7 @@ def template_digest(schedule: Schedule) -> str:
         {
             "m": schedule.processors,
             "slots": sorted(
-                [_encode_vertex(s.vertex), s.start, s.end, s.processor]
+                [encode_vertex(s.vertex), s.start, s.end, s.processor]
                 for s in schedule.slots
             ),
         },
@@ -325,7 +319,9 @@ class AdmissionController:
     processors:
         Platform size ``m`` (>= 1).
     ls_order:
-        List-Scheduling priority order for MINPROCS templates.
+        List-Scheduling priority order for MINPROCS templates: a key of
+        :data:`~repro.core.list_scheduling.PRIORITY_ORDERS` (anything else
+        raises :class:`OnlineError`).
     repack_on_departure:
         Run the compaction pass after each low-density departure (default).
         Disabling it makes departures O(bucket) but suspends canonical
@@ -342,6 +338,13 @@ class AdmissionController:
         if processors < 1:
             raise OnlineError(
                 f"platform must have >= 1 processor, got {processors}"
+            )
+        if ls_order not in PRIORITY_ORDERS:
+            # A journal or snapshot naming an unknown order is malformed on
+            # arrival, not at its first high-density admit.
+            raise OnlineError(
+                f"unknown LS priority order {ls_order!r}; available: "
+                f"{sorted(PRIORITY_ORDERS)}"
             )
         self._m = processors
         self._ls_order = ls_order
@@ -550,7 +553,10 @@ class AdmissionController:
             repack = bool(snapshot["repack_on_departure"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"malformed snapshot: {exc}") from exc
-        controller = cls(m, ls_order=ls_order, repack_on_departure=repack)
+        try:
+            controller = cls(m, ls_order=ls_order, repack_on_departure=repack)
+        except OnlineError as exc:
+            raise PersistenceError(f"malformed snapshot: {exc}") from exc
         controller._shared = pool
         controller._buckets = [[] for _ in pool]
         controller._shards = []
@@ -812,10 +818,13 @@ class AdmissionController:
             # The shrunken shared pool could no longer carry the admitted
             # low-density tasks: the batch re-analysis would fail in the
             # PARTITION phase, so the arrival is turned away.
+            active = _current_span()
+            if active is not None:
+                # The cluster size is on the ``minprocs`` child span.
+                active.set(pool_after=new_pool)
             return self._reject(
                 task, HIGH_DENSITY, FailureReason.PARTITION_PHASE.value,
                 started,
-                detail={"cluster": result.processors, "pool_after": new_pool},
             )
         granted = tuple(self._shared[new_pool:])
         del self._shared[new_pool:]
@@ -829,10 +838,10 @@ class AdmissionController:
             seq=self._seq,
         )
         self._tasks[task.name] = task
-        return self._accept(
-            task, HIGH_DENSITY, granted, started,
-            detail={"cluster": len(granted), "attempts": result.attempts},
-        )
+        active = _current_span()
+        if active is not None:
+            active.set(attempts=result.attempts)
+        return self._accept(task, HIGH_DENSITY, granted, started)
 
     def _admit_low(
         self, task: SporadicDAGTask, started: float
@@ -890,10 +899,7 @@ class AdmissionController:
             return self._reject(
                 task, LOW_DENSITY, FailureReason.PARTITION_PHASE.value, started
             )
-        return self._accept(
-            task, LOW_DENSITY, (self._shared[placed],), started,
-            detail={"bucket": placed},
-        )
+        return self._accept(task, LOW_DENSITY, (self._shared[placed],), started)
 
     def _place_low(
         self, task: SporadicDAGTask, sporadic: SporadicTask, bucket: int
@@ -918,7 +924,6 @@ class AdmissionController:
         kind: str,
         processors: tuple[int, ...],
         started: float,
-        detail: dict | None = None,
     ) -> AdmissionDecision:
         latency = time.perf_counter() - started
         if _metrics.enabled:
@@ -926,18 +931,9 @@ class AdmissionController:
             _metrics.record_time("online.admit_seconds", latency)
         active = _current_span()
         if active is not None:
-            active.set(kind=kind, accepted=True, processors=list(processors))
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Admission(
-                    task=task.name,
-                    kind=kind,
-                    accepted=True,
-                    seq=self._seq,
-                    processors=processors,
-                    detail=detail or {},
-                )
+            active.set(
+                kind=kind, accepted=True, seq=self._seq,
+                processors=list(processors),
             )
         _log.info(
             "ADMIT %s (%s): processors %s", task.name, kind, list(processors)
@@ -957,7 +953,6 @@ class AdmissionController:
         kind: str,
         reason: str,
         started: float,
-        detail: dict | None = None,
     ) -> AdmissionDecision:
         latency = time.perf_counter() - started
         if _metrics.enabled:
@@ -965,19 +960,7 @@ class AdmissionController:
             _metrics.record_time("online.admit_seconds", latency)
         active = _current_span()
         if active is not None:
-            active.set(kind=kind, accepted=False, reason=reason)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Admission(
-                    task=task.name,
-                    kind=kind,
-                    accepted=False,
-                    seq=self._seq,
-                    reason=reason,
-                    detail=detail or {},
-                )
-            )
+            active.set(kind=kind, accepted=False, seq=self._seq, reason=reason)
         _log.info("REJECT %s (%s): %s", task.name, kind, reason)
         return AdmissionDecision(
             accepted=False,
@@ -1008,8 +991,17 @@ class AdmissionController:
         with _span("online.depart", task=task_id):
             self._seq += 1
             if task_id in self._clusters:
-                return self._depart_high(task_id, started)
-            return self._depart_low(task_id, started)
+                receipt = self._depart_high(task_id, started)
+            else:
+                receipt = self._depart_low(task_id, started)
+            active = _current_span()
+            if active is not None:
+                active.set(
+                    kind=receipt.kind, seq=receipt.seq,
+                    released=list(receipt.released),
+                    migrations=receipt.migrations, clean=receipt.clean,
+                )
+            return receipt
 
     def _depart_high(self, task_id: str, started: float) -> DepartureReceipt:
         cluster = self._clusters.pop(task_id)
@@ -1023,24 +1015,6 @@ class AdmissionController:
             self._buckets.append([])
             self._shards.append(ShardState())
         self._probe_matrix = None
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Departure(
-                    task=task_id,
-                    kind=HIGH_DENSITY,
-                    seq=self._seq,
-                    released=cluster.processors,
-                )
-            )
-            ctx.record(
-                Reclamation(
-                    source=task_id,
-                    processors=cluster.processors,
-                    migrations=0,
-                    clean=True,
-                )
-            )
         latency = time.perf_counter() - started
         if _metrics.enabled:
             _metrics.incr("online.departures")
@@ -1087,24 +1061,6 @@ class AdmissionController:
                     _metrics.incr("online.repack_anomalies")
         else:
             self._canonical = False
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Departure(
-                    task=task_id,
-                    kind=LOW_DENSITY,
-                    seq=self._seq,
-                    migrations=migrations,
-                )
-            )
-            ctx.record(
-                Reclamation(
-                    source=task_id,
-                    processors=(),
-                    migrations=migrations,
-                    clean=clean,
-                )
-            )
         latency = time.perf_counter() - started
         if _metrics.enabled:
             _metrics.incr("online.departures")

@@ -65,7 +65,6 @@ from repro.errors import OnlineError, PersistenceError
 from repro.io import atomic_write_text, read_jsonl
 from repro.model.serialization import task_from_dict, task_to_dict
 from repro.model.task import SporadicDAGTask
-from repro.obs.events import Checkpoint, Recovery, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
 from repro.obs.spans import span as _span
@@ -87,6 +86,7 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "recover",
+    "controller_from_genesis",
 ]
 
 _log = get_logger(__name__)
@@ -139,14 +139,9 @@ class Journal:
     ``"off"``
         appends are flushed but never fsynced -- for bulk experiment replays
         where the "crash" is simulated anyway.
-
-    The legacy boolean (``True``/``False`` from the PR 4 API) is still
-    accepted and maps to ``"always"``/``"off"``.
     """
 
-    def __init__(self, path: str | Path, fsync: str | bool = "always") -> None:
-        if isinstance(fsync, bool):
-            fsync = "always" if fsync else "off"
+    def __init__(self, path: str | Path, fsync: str = "always") -> None:
         if fsync not in FSYNC_POLICIES:
             raise OnlineError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -407,6 +402,36 @@ def genesis_record(controller: AdmissionController) -> dict:
     }
 
 
+def controller_from_genesis(
+    record: dict, context: str = "journal"
+) -> AdmissionController:
+    """An empty controller rebuilt from a journal's genesis *record*.
+
+    Raises :class:`PersistenceError` when *record* is not a genesis record,
+    carries another ``journal_schema``, or has a missing or ill-typed
+    field; *context* prefixes the message.
+    """
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind != "genesis":
+        raise PersistenceError(f"{context}: first record is {kind!r}, not genesis")
+    schema = record.get("journal_schema")
+    if schema != JOURNAL_SCHEMA:
+        raise PersistenceError(
+            f"{context}: unsupported journal_schema {schema!r} "
+            f"(this build reads version {JOURNAL_SCHEMA})"
+        )
+    try:
+        return AdmissionController(
+            int(record["processors"]),
+            ls_order=str(record["ls_order"]),
+            repack_on_departure=bool(record["repack_on_departure"]),
+        )
+    except (KeyError, TypeError, ValueError, OnlineError) as exc:
+        raise PersistenceError(
+            f"{context}: malformed genesis record: {exc!r}"
+        ) from exc
+
+
 def admit_record(task: SporadicDAGTask, decision: AdmissionDecision) -> dict:
     """One admit decision -- rejected arrivals included, so replay reproduces
     the sequence counter exactly."""
@@ -452,7 +477,9 @@ def write_checkpoint(
     a torn checkpoint -- a crash mid-write keeps the previous generation.
     """
     started = time.perf_counter()
-    with _span("online.checkpoint.write", journal_entries=journal_entries):
+    with _span(
+        "online.checkpoint.write", journal_entries=journal_entries
+    ) as sp:
         snapshot = controller.snapshot()
         document = {
             "checkpoint_schema": CHECKPOINT_SCHEMA,
@@ -460,20 +487,13 @@ def write_checkpoint(
             "state": snapshot,
         }
         atomic_write_text(Path(path), json.dumps(document, indent=2) + "\n")
+        sp.set(
+            path=str(path), admitted=snapshot["admitted"], seq=snapshot["seq"]
+        )
     elapsed = time.perf_counter() - started
     if _metrics.enabled:
         _metrics.incr("online.checkpoint.writes")
         _metrics.record_time("online.checkpoint.seconds", elapsed)
-    ctx = current_context()
-    if ctx is not None:
-        ctx.record(
-            Checkpoint(
-                path=str(path),
-                journal_entries=journal_entries,
-                admitted=snapshot["admitted"],
-                seq=snapshot["seq"],
-            )
-        )
     _log.info(
         "CHECKPOINT %s: %d admitted task(s) at journal offset %d",
         path, snapshot["admitted"], journal_entries,
@@ -604,9 +624,11 @@ def recover(
     with _span("online.recover", journal=str(journal)) as sp:
         controller, report = _recover(checkpoint, journal, verify, exact)
         sp.set(
-            replayed=report.replayed,
             checkpoint_used=report.checkpoint_used,
+            journal_entries=report.journal_entries,
+            replayed=report.replayed,
             torn_tail=report.torn_tail,
+            admitted=report.admitted,
         )
         return controller, report
 
@@ -634,28 +656,9 @@ def _recover(
                 "truncated behind the checkpoint's back"
             )
     else:
-        genesis = records[0]
-        if genesis.get("kind") != "genesis":
-            raise PersistenceError(
-                f"{journal}: first record is {genesis.get('kind')!r}, not "
-                "genesis; cannot recover without a checkpoint"
-            )
-        schema = genesis.get("journal_schema")
-        if schema != JOURNAL_SCHEMA:
-            raise PersistenceError(
-                f"{journal}: unsupported journal_schema {schema!r} "
-                f"(this build reads version {JOURNAL_SCHEMA})"
-            )
-        try:
-            controller = AdmissionController(
-                int(genesis["processors"]),
-                ls_order=str(genesis["ls_order"]),
-                repack_on_departure=bool(genesis["repack_on_departure"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(
-                f"{journal}: malformed genesis record: {exc}"
-            ) from exc
+        controller = controller_from_genesis(
+            records[0], f"{journal}: cannot recover without a checkpoint"
+        )
         start = 1
     replayed = 0
     for record in records[start:]:
@@ -686,17 +689,6 @@ def _recover(
         if torn:
             _metrics.incr("online.recover.torn_tails")
         _metrics.record_time("online.recover.seconds", elapsed)
-    ctx = current_context()
-    if ctx is not None:
-        ctx.record(
-            Recovery(
-                checkpoint_used=checkpoint_used,
-                journal_entries=len(records),
-                replayed=replayed,
-                torn_tail=torn,
-                admitted=controller.admitted_count,
-            )
-        )
     report = RecoveryReport(
         checkpoint_used=checkpoint_used,
         journal_entries=len(records),

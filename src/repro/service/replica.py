@@ -27,17 +27,16 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import PersistenceError, ServiceError
-from repro.obs.events import Promotion, current_context
+from repro.errors import ServiceError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
 from repro.obs.spans import span as _span
 from repro.online.controller import AdmissionController
 from repro.online.persist import (
-    JOURNAL_SCHEMA,
     Journal,
     RecoveryReport,
     _replay_record,
+    controller_from_genesis,
     recover,
     write_checkpoint,
 )
@@ -113,22 +112,8 @@ class StandbyReplica:
 
     def _apply_to_controller(self, record: dict) -> None:
         if record.get("n") == 0:
-            kind = record.get("kind")
-            if kind != "genesis":
-                raise PersistenceError(
-                    f"record 0 is {kind!r}, not genesis; cannot bootstrap "
-                    "a standby from mid-history"
-                )
-            schema = record.get("journal_schema")
-            if schema != JOURNAL_SCHEMA:
-                raise PersistenceError(
-                    f"unsupported journal_schema {schema!r} "
-                    f"(this build reads version {JOURNAL_SCHEMA})"
-                )
-            self._controller = AdmissionController(
-                int(record["processors"]),
-                ls_order=str(record["ls_order"]),
-                repack_on_departure=bool(record["repack_on_departure"]),
+            self._controller = controller_from_genesis(
+                record, "standby bootstrap"
             )
             return
         if self._controller is None:
@@ -195,7 +180,7 @@ class StandbyReplica:
         if self._controller is None:
             raise ServiceError("cannot promote before the genesis record")
         started = time.perf_counter()
-        with _span("service.promote", replicated=self.applied):
+        with _span("service.promote", replicated=self.applied) as sp:
             self._journal.sync()
             recovered, recovery = recover(
                 self._checkpoint_path
@@ -212,7 +197,10 @@ class StandbyReplica:
                     "live applied state -- the replication channel delivered "
                     "records the journal does not contain (or vice versa)"
                 )
-        failover = time.perf_counter() - started
+            failover = time.perf_counter() - started
+            sp.set(
+                staleness=staleness, verified=verify, failover_seconds=failover
+            )
         report = PromotionReport(
             replicated=self.applied,
             staleness=staleness,
@@ -224,14 +212,6 @@ class StandbyReplica:
             _metrics.incr("service.promotions")
             _metrics.record_time("service.failover_seconds", failover)
             _metrics.observe("service.failover_staleness", staleness)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(Promotion(
-                replicated=report.replicated,
-                staleness=report.staleness,
-                verified=report.verified,
-                failover_seconds=report.failover_seconds,
-            ))
         _log.info("PROMOTE: %s", report.describe())
         return self._controller, report
 

@@ -42,7 +42,6 @@ from typing import Any
 from repro.errors import ModelError, OnlineError, ReproError, ServiceError
 from repro.model.serialization import task_from_dict
 from repro.obs import to_prometheus
-from repro.obs.events import BatchCommit, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
 from repro.obs.spans import span as _span
@@ -220,7 +219,7 @@ class AdmissionServer:
         observe a half-applied batch and arrival order is commit order.
         """
         requests = [b for b in batch if isinstance(b, _Pending)]
-        with _span("service.commit_batch", size=len(requests)):
+        with _span("service.commit_batch", size=len(requests)) as sp:
             responses: list[tuple[_Pending, dict]] = []
             index = 0
             while index < len(batch):
@@ -264,13 +263,10 @@ class AdmissionServer:
             if _metrics.enabled and requests:
                 _metrics.incr("service.batches")
                 _metrics.observe("service.batch_size", len(requests))
-            ctx = current_context()
-            if ctx is not None and requests:
-                ctx.record(BatchCommit(
-                    size=len(requests),
-                    accepted=accepted,
-                    synced=self._durable.journal.fsync_policy != "off",
-                ))
+            sp.set(
+                accepted=accepted,
+                synced=self._durable.journal.fsync_policy != "off",
+            )
 
     def _apply_admit_run(
         self, run: list[_Pending]
@@ -597,7 +593,9 @@ class AdmissionServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    return "400 Bad Request", "text/plain", "bad Content-Length\n"
+                    content_length = -1
+                if content_length < 0:
+                    return _bad_request(f"bad Content-Length {value.strip()!r}")
         if content_length > MAX_LINE_BYTES:
             return "413 Payload Too Large", "text/plain", "body too large\n"
         body = await reader.readexactly(content_length) if content_length else b""
@@ -614,18 +612,30 @@ class AdmissionServer:
                 json.dumps(self._state_summary(), indent=2) + "\n",
             )
         if method == "POST" and path in ("/admit", "/depart"):
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                return (
-                    "400 Bad Request", "application/json",
-                    json.dumps(error_response("bad_request", str(exc))) + "\n",
-                )
             op = path.lstrip("/")
+            try:
+                # The same parser as the TCP front-end: a JSON object or a
+                # typed ServiceError.
+                payload = decode(body) if body else {}
+                if payload.get("op", op) != op:
+                    raise ServiceError(
+                        f"body op {payload['op']!r} does not match the "
+                        f"route {path}"
+                    )
+            except ServiceError as exc:
+                return _bad_request(str(exc))
             if op == "admit" and "task" not in payload:
                 # Allow POSTing the bare serialized task as the body.
                 payload = {"task": payload}
-            response, _ = await self._dispatch({"op": op, **payload}, None)
+            response, _ = await self._dispatch({**payload, "op": op}, None)
             status = "200 OK" if response.get("ok") else "400 Bad Request"
             return status, "application/json", json.dumps(response) + "\n"
         return "404 Not Found", "text/plain", f"no route {method} {path}\n"
+
+
+def _bad_request(message: str) -> tuple[str, str, str]:
+    """An HTTP 400 carrying the typed ``bad_request`` error envelope."""
+    return (
+        "400 Bad Request", "application/json",
+        json.dumps(error_response("bad_request", message)) + "\n",
+    )

@@ -10,7 +10,9 @@ Two families live here:
   ``low_task``, ``high_task``) -- the hand-shaped online/persistence
   fixtures: a width-*w* fully-parallel DAG task has density
   ``w * wcet / deadline``, so ``high_task`` (density 3) forces a dedicated
-  cluster while ``low_task`` (utilization knob) lands in the shared pool.
+  cluster while ``low_task`` (utilization knob) lands in the shared pool;
+  ``malformed_genesis`` lists broken journal genesis records for every
+  entry point that rebuilds a controller from one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "parallel_task",
     "low_task",
     "high_task",
+    "GENESIS",
+    "malformed_genesis",
 ]
 
 wcets = st.integers(min_value=1, max_value=20)
@@ -122,3 +126,27 @@ def low_task(name: str, utilization: float = 0.2) -> SporadicDAGTask:
 def high_task(name: str, width: int = 3) -> SporadicDAGTask:
     """Density-*width* task that needs a dedicated *width*-cluster."""
     return parallel_task(width, 2.0, 2.0, 10.0, name)
+
+
+#: A well-formed journal genesis record (schema 1, four processors).
+GENESIS = {
+    "kind": "genesis", "journal_schema": 1, "processors": 4,
+    "ls_order": "longest_path", "repack_on_departure": True,
+}
+
+
+def malformed_genesis() -> list[tuple[str, dict, str]]:
+    """``(case id, genesis record, text the PersistenceError must carry)``."""
+    def without(key: str) -> dict:
+        return {k: v for k, v in GENESIS.items() if k != key}
+
+    return [
+        ("kind", {**GENESIS, "kind": "admit"}, "not genesis"),
+        ("schema", {**GENESIS, "journal_schema": 9}, "journal_schema"),
+        ("no-processors", without("processors"), "malformed genesis"),
+        ("text", {**GENESIS, "processors": "x"}, "malformed genesis"),
+        ("null", {**GENESIS, "processors": None}, "malformed genesis"),
+        ("zero", {**GENESIS, "processors": 0}, "malformed genesis"),
+        ("no-ls-order", without("ls_order"), "malformed genesis"),
+        ("unknown-ls-order", {**GENESIS, "ls_order": "bogus"}, "malformed genesis"),
+    ]

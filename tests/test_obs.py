@@ -1,5 +1,5 @@
-"""Tests for the observability layer: metrics registry, decision tracing,
-and the structured-logging behaviour of FEDCONS."""
+"""Tests for the observability layer: metrics registry, the decisions that
+span traces carry, and the structured-logging behaviour of FEDCONS."""
 
 from __future__ import annotations
 
@@ -13,16 +13,17 @@ import pytest
 from repro.model import DAG, SporadicDAGTask, TaskSystem
 from repro.core.fedcons import FailureReason, fedcons
 from repro.obs import (
-    MinprocsStep,
-    ObsContext,
-    PartitionAttempt,
-    PhaseComplete,
+    SpanTracer,
     collecting,
     configure_logging,
-    current_context,
+    current_span,
+    current_tracer,
+    decision_events,
     get_logger,
+    load_spans,
     metrics,
-    tracing,
+    rejection,
+    span_tracing,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -164,100 +165,124 @@ class TestMetricsRegistry:
 
 
 class TestDecisionTrace:
+    """FEDCONS decisions ride on the span trace: one format, one tracer."""
+
     def test_no_context_by_default(self):
-        assert current_context() is None
+        assert current_tracer() is None
+        assert current_span() is None
 
     def test_tracing_scopes_context(self):
-        with tracing() as ctx:
-            assert current_context() is ctx
-        assert current_context() is None
+        with span_tracing() as tracer:
+            assert current_tracer() is tracer
+        assert current_tracer() is None
 
     def test_tracing_accepts_existing_context(self, feasible_system):
-        ctx = ObsContext()
-        with tracing(ctx):
+        tracer = SpanTracer()
+        with span_tracing(tracer):
             fedcons(feasible_system, 8)
-        with tracing(ctx):
+        with span_tracing(tracer):
             fedcons(feasible_system, 8)
-        # Two analyses accumulated into one trace.
-        assert len(ctx.events_of(PhaseComplete)) == 6
+        # Two analyses accumulated into one trace file, one root each.
+        assert len(decision_events(tracer, "PhaseComplete")) == 6
+        assert [s.name for s in tracer.roots()] == ["fedcons", "fedcons"]
 
     def test_minprocs_rejection_names_task_phase_and_bound(
         self, overloaded_high_density
     ):
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             result = fedcons(overloaded_high_density, 1)
         assert not result.success
         assert result.reason is FailureReason.HIGH_DENSITY_PHASE
-        rejection = ctx.rejection
-        assert rejection is not None
-        assert rejection.phase == "minprocs"
-        assert rejection.task == "hungry"
+        found = rejection(tracer)
+        assert found is not None
+        assert found["phase"] == "minprocs"
+        assert found["reason"] == "high_density_phase"
+        assert found["task"] == "hungry"
         # The violated bound: the task demands more than the 1 available.
-        assert rejection.detail["available"] == 1
-        assert rejection.detail["minimum_cluster"] > 1
+        assert found["detail"]["available"] == 1
+        assert found["detail"]["minimum_cluster"] > 1
+        # Recorded once, on the analysis span the verdict belongs to.
+        (root,) = tracer.roots()
+        assert [e["name"] for e in root.events].count("Rejection") == 1
+        assert root.attributes["reason"] == "high_density_phase"
 
     def test_partition_rejection_names_task_phase_and_bound(
         self, overloaded_low_density
     ):
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             result = fedcons(overloaded_low_density, 1)
         assert not result.success
         assert result.reason is FailureReason.PARTITION_PHASE
-        rejection = ctx.rejection
-        assert rejection is not None
-        assert rejection.phase == "partition"
-        assert rejection.task == result.failed_task.name
+        found = rejection(tracer)
+        assert found is not None
+        assert found["phase"] == "partition"
+        assert found["reason"] == "no_processor_fits"
+        assert found["task"] == result.failed_task.name
         # Demand condition violated on the only processor.
-        assert rejection.detail["best_demand_slack"] < 0
-        assert len(rejection.detail["per_processor"]) == 1
+        assert found["detail"]["best_demand_slack"] < 0
+        assert len(found["detail"]["per_processor"]) == 1
+        (part,) = [s for s in tracer.finished if s.name == "fedcons.partition"]
+        assert "Rejection" in [e["name"] for e in part.events]
 
     def test_structural_rejection(self):
         bad = TaskSystem(
             [SporadicDAGTask(DAG.chain([5, 5]), 8, 20, name="bad")]
         )
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             result = fedcons(bad, 4)
         assert result.reason is FailureReason.STRUCTURALLY_INFEASIBLE
-        assert ctx.rejection.phase == "validate"
-        assert ctx.rejection.task == "bad"
-        assert ctx.rejection.detail["margin"] < 0
+        found = rejection(tracer)
+        assert found["phase"] == "validate"
+        assert found["reason"] == "structurally_infeasible"
+        assert found["task"] == "bad"
+        assert found["detail"] == {"span": 10.0, "deadline": 8.0, "margin": -2.0}
 
     def test_success_has_no_rejection_but_full_phase_record(
         self, feasible_system
     ):
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             result = fedcons(feasible_system, 8)
         assert result.success
-        assert ctx.rejection is None
-        phases = [e.phase for e in ctx.events_of(PhaseComplete)]
-        assert phases == ["validate", "minprocs", "partition"]
-        assert all(e.ok for e in ctx.events_of(PhaseComplete))
-        assert ctx.events_of(MinprocsStep)
-        assert ctx.events_of(PartitionAttempt)
+        assert rejection(tracer) is None
+        completions = decision_events(tracer, "PhaseComplete")
+        assert [e["phase"] for e in completions] == [
+            "validate", "minprocs", "partition"
+        ]
+        assert all(e["ok"] for e in completions)
+        assert decision_events(tracer, "MinprocsStep")
+        attempts = decision_events(tracer, "PartitionAttempt")
+        assert attempts and all(a["admitted"] for a in attempts)
 
     def test_minprocs_steps_record_search(self, feasible_system):
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             fedcons(feasible_system, 8)
-        steps = ctx.events_of(MinprocsStep)
-        assert all(s.task == "high" for s in steps)
-        assert steps[-1].fits  # the search ended on a fitting cluster
-        assert all(s.deadline == 8 for s in steps)
+        steps = decision_events(tracer, "MinprocsStep")
+        assert all(s["task"] == "high" for s in steps)
+        assert steps[-1]["fits"] is True  # the search ended on a fitting cluster
+        assert all(s["deadline"] == 8 for s in steps)
+        # The steps sit on the MINPROCS span they describe.
+        (search,) = [s for s in tracer.finished if s.name == "minprocs"]
+        assert len(search.events) == len(steps)
 
     def test_trace_is_json_serializable(self, overloaded_low_density, tmp_path):
-        with tracing() as ctx:
+        with span_tracing() as tracer:
             fedcons(overloaded_low_density, 1)
-        path = tmp_path / "trace.json"
-        ctx.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["rejection"]["event"] == "Rejection"
-        assert doc["rejection"]["phase"] == "partition"
-        assert any(e["event"] == "PartitionAttempt" for e in doc["events"])
+        path = tmp_path / "trace.jsonl"
+        tracer.to_jsonl(path)
+        spans = load_spans(path)
+        found = rejection(spans)
+        assert found["event"] == "Rejection"
+        assert found["phase"] == "partition"
+        assert found == rejection(tracer)
+        assert any(
+            e["event"] == "PartitionAttempt" for e in decision_events(spans)
+        )
 
     def test_zero_cost_when_disabled(self, feasible_system):
-        """No events are built or kept when no context is active."""
+        """No spans, and so no decision events, without an active tracer."""
         result = fedcons(feasible_system, 8)
         assert result.success
-        assert current_context() is None
+        assert current_tracer() is None
 
 
 class TestLogging:
@@ -398,17 +423,19 @@ class TestCliObservability:
     ):
         from repro.cli import analyze_main
 
-        out = tmp_path / "why.json"
+        out = tmp_path / "why.jsonl"
         code = analyze_main(
             [infeasible_partition_file, "-m", "1", "--explain", str(out)]
         )
         assert code == 1
-        doc = json.loads(out.read_text())
-        assert doc["success"] is False
-        assert doc["reason"] == "partition_phase"
-        assert doc["rejection"]["phase"] == "partition"
-        assert doc["rejection"]["task"].startswith("t")
-        assert doc["rejection"]["detail"]["best_demand_slack"] < 0
+        spans = load_spans(out)
+        (root,) = [s for s in spans if s["parent_id"] is None]
+        assert root["attributes"]["success"] is False
+        assert root["attributes"]["reason"] == "partition_phase"
+        found = rejection(spans)
+        assert found["phase"] == "partition"
+        assert found["task"].startswith("t")
+        assert found["detail"]["best_demand_slack"] < 0
         assert "decision trace written" in capsys.readouterr().out
 
     def test_explain_on_accepted_system(self, tmp_path, capsys):
@@ -420,13 +447,89 @@ class TestCliObservability:
         )
         path = tmp_path / "ok.json"
         save_system(system, path)
-        out = tmp_path / "trace.json"
+        out = tmp_path / "trace.jsonl"
         assert analyze_main([str(path), "-m", "2", "--explain", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["success"] is True
-        assert doc["rejection"] is None
-        assert [e["phase"] for e in doc["events"] if e["event"] == "PhaseComplete"] \
+        spans = load_spans(out)
+        (root,) = [s for s in spans if s["parent_id"] is None]
+        assert root["attributes"]["success"] is True
+        assert rejection(spans) is None
+        assert [e["phase"] for e in decision_events(spans, "PhaseComplete")] \
             == ["validate", "minprocs", "partition"]
+
+    @pytest.mark.parametrize(
+        "phase, system, expected",
+        [
+            (
+                "validate",
+                [SporadicDAGTask(DAG.chain([5, 5]), 8, 20, name="bad")],
+                {
+                    "reason": "structurally_infeasible", "task": "bad",
+                    "detail": {"span": 10.0, "deadline": 8.0, "margin": -2.0},
+                },
+            ),
+            (
+                "minprocs",
+                [SporadicDAGTask(
+                    DAG.independent([4, 4, 4, 4]), 8, 10, name="hungry"
+                )],
+                {
+                    "reason": "high_density_phase", "task": "hungry",
+                    "detail": {
+                        "available": 1, "density": 2.0, "minimum_cluster": 2,
+                        "span": 4.0, "deadline": 8.0,
+                    },
+                },
+            ),
+            (
+                "partition",
+                [
+                    SporadicDAGTask(DAG.chain([3]), 4, 10, name=f"t{i}")
+                    for i in range(4)
+                ],
+                {
+                    "reason": "no_processor_fits", "task": "t1",
+                    "detail": {
+                        "deadline": 4.0, "wcet": 3.0, "utilization": 0.3,
+                        "best_demand_slack": -2.0,
+                        "best_rate_slack": 0.39999999999999997,
+                        "per_processor": [{
+                            "processor": 0, "demand_slack": -2.0,
+                            "rate_slack": 0.39999999999999997,
+                        }],
+                    },
+                },
+            ),
+        ],
+    )
+    def test_explain_rejection_reads_back_through_obs_show(
+        self, phase, system, expected, tmp_path, capsys
+    ):
+        """Each phase's rejection, as the earlier JSON explain format held
+        it, comes back from the span JSONL and from ``fedcons-obs show``."""
+        from repro.cli import analyze_main
+        from repro.model import save_system
+        from repro.obs.tool import obs_main
+
+        path = tmp_path / "system.json"
+        save_system(TaskSystem(system), path)
+        out = tmp_path / "why.jsonl"
+        assert analyze_main([str(path), "-m", "1", "--explain", str(out)]) == 1
+        assert rejection(load_spans(out)) == {
+            "event": "Rejection", "phase": phase, **expected
+        }
+        capsys.readouterr()
+        assert obs_main(["show", str(out)]) == 0
+        (line,) = [
+            ln for ln in capsys.readouterr().out.splitlines()
+            if "* Rejection" in ln
+        ]
+        # The trace file stores keys sorted, nested dicts included.
+        detail = json.loads(json.dumps(expected["detail"], sort_keys=True))
+        assert f"detail={detail}" in line
+        assert (
+            f"phase={phase} reason={expected['reason']} "
+            f"task={expected['task']}]"
+        ) in line
 
     def test_simulate_metrics_export(self, tmp_path, capsys):
         from repro.cli import simulate_main

@@ -32,7 +32,7 @@ from repro.generation.traces import TraceConfig, generate_trace
 from repro.model.dag import DAG
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
-from repro.obs import Admission, Departure, Reclamation, collecting, tracing
+from repro.obs import collecting, span_tracing
 from repro.online import (
     HIGH_DENSITY,
     LOW_DENSITY,
@@ -243,6 +243,8 @@ class TestControllerBasics:
         controller = AdmissionController(4)
         with pytest.raises(OnlineError):
             AdmissionController(0)
+        with pytest.raises(OnlineError, match="priority order"):
+            AdmissionController(4, ls_order="bogus")
         with pytest.raises(OnlineError):
             controller.admit("not a task")
         with pytest.raises(OnlineError):
@@ -519,23 +521,35 @@ class TestCli:
 # ---------------------------------------------------------------------------
 class TestObservability:
     def test_events_and_metrics(self):
-        with tracing() as trace, collecting() as registry:
+        with span_tracing() as tracer, collecting() as registry:
             controller = AdmissionController(4)
             controller.admit(high_task("h", width=3))
             controller.admit(low_task("l"))
             controller.admit(high_task("too-wide", width=9))  # rejected
             controller.depart("h")
             controller.depart("l")
-        admissions = trace.events_of(Admission)
-        assert [a.accepted for a in admissions] == [True, True, False]
-        assert admissions[0].kind == HIGH_DENSITY
-        assert admissions[1].kind == LOW_DENSITY
-        departures = trace.events_of(Departure)
-        assert [d.task for d in departures] == ["h", "l"]
-        reclamations = trace.events_of(Reclamation)
-        assert len(reclamations) == 2
-        assert reclamations[0].processors == (1, 2, 3)
-        assert all(r.clean for r in reclamations)
+        # Each decision is recorded once, as attributes of its span.
+        admissions = [
+            s.attributes for s in tracer.roots() if s.name == "online.admit"
+        ]
+        assert [a["accepted"] for a in admissions] == [True, True, False]
+        assert [a["seq"] for a in admissions] == [1, 2, 3]
+        assert admissions[0]["kind"] == HIGH_DENSITY
+        assert admissions[0]["processors"] == [1, 2, 3]
+        assert admissions[0]["attempts"] >= 1
+        assert admissions[1]["kind"] == LOW_DENSITY
+        assert admissions[2]["reason"] == "high_density_phase"
+        departures = [
+            s.attributes for s in tracer.roots() if s.name == "online.depart"
+        ]
+        assert [d["task"] for d in departures] == ["h", "l"]
+        assert [d["seq"] for d in departures] == [4, 5]
+        assert [d["kind"] for d in departures] == [HIGH_DENSITY, LOW_DENSITY]
+        assert departures[0]["released"] == [1, 2, 3]
+        assert departures[1]["released"] == []
+        assert [d["migrations"] for d in departures] == [0, 0]
+        assert all(d["clean"] for d in departures)
+        assert not any(s.events for s in tracer.roots())
         counters = registry.snapshot()["counters"]
         assert counters["online.admit_accepted"] == 2
         assert counters["online.admit_rejected"] == 1

@@ -23,6 +23,7 @@ The load-bearing guarantees pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -34,7 +35,9 @@ from hypothesis import strategies as st
 from repro.errors import OnlineError, PersistenceError
 from repro.generation.traces import TraceConfig, generate_trace
 from repro.io import atomic_write_text, atomic_writer, read_jsonl
-from repro.obs import Checkpoint, Recovery, collecting, tracing
+from repro.model.dag import DAG
+from repro.model.task import SporadicDAGTask
+from repro.obs import collecting, span_tracing
 from repro.online import (
     SNAPSHOT_SCHEMA,
     AdmissionController,
@@ -47,9 +50,10 @@ from repro.online import (
     write_checkpoint,
 )
 from repro.online.cli import admit_main
-from repro.online.persist import _replay_record
+from repro.online.controller import template_digest
+from repro.online.persist import _replay_record, controller_from_genesis
 
-from strategies import high_task, low_task
+from strategies import GENESIS, high_task, low_task, malformed_genesis
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA / "online_trace.jsonl"
@@ -206,6 +210,92 @@ class TestJournal:
         assert torn and len(records) == 1
         assert path.read_bytes() == torn_bytes
 
+    @pytest.mark.parametrize("policy", [True, False, "sometimes", None])
+    def test_fsync_policy_is_one_of_the_named_policies(self, tmp_path, policy):
+        with pytest.raises(OnlineError, match="fsync policy"):
+            Journal(tmp_path / "j.jsonl", fsync=policy)
+        assert not (tmp_path / "j.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# the genesis record
+# ---------------------------------------------------------------------------
+MALFORMED_GENESIS = [
+    pytest.param(record, message, id=case)
+    for case, record, message in malformed_genesis()
+]
+
+
+class TestGenesisRecord:
+    def test_builds_the_journaled_controller(self):
+        controller = controller_from_genesis(
+            {**GENESIS, "repack_on_departure": False}
+        )
+        assert controller.total_processors == 4
+        assert controller.repack_enabled is False
+
+    @pytest.mark.parametrize("genesis, message", MALFORMED_GENESIS)
+    def test_recover_rejects_malformed_genesis(
+        self, tmp_path, genesis, message
+    ):
+        path = tmp_path / "j.jsonl"
+        with Journal(path, fsync="off") as journal:
+            journal.append(genesis)
+        with pytest.raises(PersistenceError, match=message):
+            recover(None, path)
+
+
+# ---------------------------------------------------------------------------
+# the vertex-id codec of template snapshots
+# ---------------------------------------------------------------------------
+def _fork_task(name: str, ids: list) -> SporadicDAGTask:
+    src, a, b, c, sink = ids
+    dag = DAG(
+        {src: 1.0, a: 4.0, b: 4.0, c: 4.0, sink: 1.0},
+        [(src, a), (src, b), (src, c), (a, sink), (b, sink), (c, sink)],
+    )
+    return SporadicDAGTask(dag, deadline=8.0, period=10.0, name=name)
+
+
+class TestTemplateVertexIds:
+    """Templates store vertex ids with the task codec of
+    :mod:`repro.model.serialization`; the bytes are pinned to the values
+    the controller wrote before it shared that codec."""
+
+    def _controller(self) -> AdmissionController:
+        controller = AdmissionController(8)
+        for name, ids in (
+            ("ints", [0, 1, 2, 3, 4]),
+            ("strs", ["src", "a", "b", "c", "sink"]),
+        ):
+            assert controller.admit(_fork_task(name, ids)).accepted
+        return controller
+
+    def test_template_digests_and_snapshot_bytes_are_pinned(self):
+        snapshot = self._controller().snapshot()
+        templates = {r["id"]: r["template"] for r in snapshot["tasks"]}
+        assert templates["ints"]["slots"][0] == ["0", 0.0, 1.0, 0]
+        assert templates["strs"]["slots"][0] == ["src", 0.0, 1.0, 0]
+        assert templates["ints"]["digest"] == "dea3c4d5e434b1211a8fd0e0bcf3c44f"
+        assert templates["strs"]["digest"] == "f59a9a9a8a8a6b46fca23c5320534f39"
+        text = json.dumps(snapshot, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "774aa4ad1f742bc59a54f7961a4a8a1de51819f75471c5024e283a80bd67e0f8"
+        )
+
+    def test_restore_decodes_int_and_str_ids(self):
+        controller = self._controller()
+        snapshot = json.loads(json.dumps(controller.snapshot()))
+        restored = AdmissionController.restore(snapshot)
+        assert restored.snapshot() == controller.snapshot()
+        for name in ("ints", "strs"):
+            theirs = restored._clusters[name].schedule
+            mine = controller._clusters[name].schedule
+            assert [s.vertex for s in theirs.slots] == [
+                s.vertex for s in mine.slots
+            ]
+            assert template_digest(theirs) == template_digest(mine)
+
 
 # ---------------------------------------------------------------------------
 # snapshot restore
@@ -252,6 +342,15 @@ class TestSnapshotRestore:
         restored = AdmissionController.restore(controller.snapshot())
         assert restored.snapshot() == controller.snapshot()
         assert restored.repack_enabled is False
+
+    @pytest.mark.parametrize(
+        "field, value", [("ls_order", "bogus"), ("processors", 0)]
+    )
+    def test_unusable_platform_settings_rejected(self, field, value):
+        snapshot = AdmissionController(4).snapshot()
+        snapshot[field] = value
+        with pytest.raises(PersistenceError, match="malformed snapshot"):
+            AdmissionController.restore(snapshot)
 
     def test_unsupported_schema_version_rejected(self):
         snapshot = AdmissionController(4).snapshot()
@@ -506,7 +605,7 @@ class TestObservability:
         events = load_trace(GOLDEN_TRACE)[:40]
         journal = tmp_path / "j.jsonl"
         checkpoint = tmp_path / "c.json"
-        with collecting() as registry, tracing() as ctx:
+        with collecting() as registry, span_tracing() as tracer:
             with Journal(journal, fsync="off") as j:
                 durable = DurableController(
                     AdmissionController(M), j,
@@ -515,15 +614,27 @@ class TestObservability:
                 replay(durable, events)
                 entries = j.entries
             controller, report = recover(checkpoint, journal)
-        checkpoints = ctx.events_of(Checkpoint)
+        checkpoints = [
+            s.attributes for s in tracer.finished
+            if s.name == "online.checkpoint.write"
+        ]
         assert checkpoints and all(
-            c.path == str(checkpoint) for c in checkpoints
+            c["path"] == str(checkpoint) for c in checkpoints
         )
-        recoveries = ctx.events_of(Recovery)
+        # The newest checkpoint span describes the file rotation left.
+        restored, offset = load_checkpoint(checkpoint)
+        assert checkpoints[-1]["journal_entries"] == offset
+        assert checkpoints[-1]["seq"] == restored.seq
+        assert checkpoints[-1]["admitted"] == restored.admitted_count
+        recoveries = [
+            s.attributes for s in tracer.finished if s.name == "online.recover"
+        ]
         assert len(recoveries) == 1
-        assert recoveries[0].checkpoint_used
-        assert recoveries[0].replayed == report.replayed
-        assert recoveries[0].admitted == controller.admitted_count
+        assert recoveries[0]["checkpoint_used"]
+        assert recoveries[0]["journal_entries"] == report.journal_entries
+        assert recoveries[0]["replayed"] == report.replayed
+        assert recoveries[0]["torn_tail"] is False
+        assert recoveries[0]["admitted"] == controller.admitted_count
         assert registry.counter("online.journal.appends") == entries
         assert registry.counter("online.checkpoint.writes") == len(checkpoints)
         assert registry.counter("online.recover.runs") == 1

@@ -61,11 +61,15 @@ from repro.service import (
 )
 from repro.service.protocol import error_response, ok_response
 
-from strategies import dag_tasks, high_task, low_task
+from strategies import dag_tasks, high_task, low_task, malformed_genesis
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA / "online_trace.jsonl"
 M = 16  # platform size the golden trace was generated for
+MALFORMED_GENESIS = [
+    pytest.param(record, message, id=case)
+    for case, record, message in malformed_genesis()
+]
 
 
 def _named(tasks) -> list:
@@ -584,6 +588,56 @@ class TestAdmissionServer:
         assert [r["kind"] for r in records] == ["genesis", "admit"]
         assert records[1]["task"]["name"] == "good"
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            pytest.param(b"POST /depart HTTP/1.0\r\nContent-Length: 2\r\n\r\n[]",
+                         id="list"),
+            pytest.param(b'POST /depart HTTP/1.0\r\nContent-Length: 3\r\n\r\n"x"',
+                         id="string"),
+            pytest.param(b"POST /admit HTTP/1.0\r\nContent-Length: 1\r\n\r\n5",
+                         id="number"),
+            pytest.param(b"POST /admit HTTP/1.0\r\nContent-Length: 4\r\n\r\nnull",
+                         id="null"),
+            pytest.param(b"POST /admit HTTP/1.0\r\nContent-Length: -5\r\n\r\n",
+                         id="negative-length"),
+            pytest.param(b"POST /admit HTTP/1.0\r\nContent-Length: x\r\n\r\n",
+                         id="text-length"),
+            pytest.param(
+                b'POST /depart HTTP/1.0\r\nContent-Length: 13\r\n\r\n'
+                b'{"op":"ping"}',
+                id="op-overrides-route",
+            ),
+        ],
+    )
+    def test_http_malformed_body_is_a_typed_bad_request(
+        self, tmp_path, request_bytes
+    ):
+        async def scenario():
+            server = await _start_server(tmp_path, http=True)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.http_port
+                )
+                writer.write(request_bytes)
+                await writer.drain()
+                response = await reader.read()
+                writer.close()
+                # The server still answers afterwards.
+                (pong,) = await _rpc(server.tcp_port, {"op": "ping"})
+                return response, pong
+            finally:
+                await server.aclose()
+
+        response, pong = asyncio.run(scenario())
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].endswith(b"400 Bad Request")
+        error = json.loads(body)
+        assert not error["ok"] and error["code"] == "bad_request"
+        assert pong["ok"]
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        assert [r["kind"] for r in records] == ["genesis"]
+
     def test_pipelined_admits_coalesce_into_batches(self, tmp_path):
         tasks = [low_task(f"p{i}", 0.1) for i in range(24)]
 
@@ -754,6 +808,14 @@ class TestStandbyReplica:
         with pytest.raises(ServiceError):
             replica.promote()
 
+    @pytest.mark.parametrize("genesis, message", MALFORMED_GENESIS)
+    def test_malformed_genesis_rejected(self, tmp_path, genesis, message):
+        replica = StandbyReplica(tmp_path / "standby.jsonl", fsync="off")
+        with pytest.raises(PersistenceError, match=message):
+            replica.apply({**genesis, "n": 0})
+        assert replica.controller is None
+        assert replica.applied == 0
+
     def test_resume_from_existing_local_journal(
         self, tmp_path, golden_records
     ):
@@ -787,6 +849,22 @@ class TestStandbyReplica:
         admit["reason"] = "tampered"
         with pytest.raises(PersistenceError):
             replica.apply(admit)
+
+
+class TestControllerFromRecords:
+    def test_replays_a_journal(self, tmp_path, golden_records):
+        controller, _ = recover(None, _journal_from_golden(tmp_path))
+        replayed = controller_from_records(golden_records)
+        assert replayed.snapshot() == controller.snapshot()
+
+    @pytest.mark.parametrize("genesis, message", MALFORMED_GENESIS)
+    def test_malformed_genesis_rejected(self, genesis, message):
+        with pytest.raises(PersistenceError, match=message):
+            controller_from_records([{**genesis, "n": 0}])
+
+    def test_empty_record_list_rejected(self):
+        with pytest.raises(PersistenceError, match="not genesis"):
+            controller_from_records([])
 
 
 class TestGoldenBoundaryFailover:

@@ -10,7 +10,7 @@ contracts the rest of the library leans on:
 * the shared :func:`~repro.obs.metrics.percentile` helper against numpy;
 * ``TimerStats.min`` through snapshot / merge / old-format snapshots;
 * span tracing -- nesting, deterministic ids, the null-span fast path,
-  JSONL round-trip, and the decision-event link;
+  JSONL round-trip, and the decisions spans carry;
 * the flight recorder -- ring semantics, dumps, and the excepthook
   post-mortem path;
 * Prometheus text exposition;
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.events import Admission, ObsContext, tracing
+from repro.obs.events import decision_events
 from repro.obs.flight import FlightRecorder, flight, flight_recording
 from repro.obs.metrics import (
     Histogram,
@@ -322,17 +322,22 @@ class TestSpans:
         assert restored[1]["attributes"] == {"m": 8}
 
     def test_decision_events_annotate_active_span(self):
-        context = ObsContext()
-        event = Admission(
-            task="T7", kind="low_density", accepted=True, seq=1
-        )
         with span_tracing() as tracer:
-            with span("admitting"):
-                with tracing(context):
-                    context.record(event)
-        (finished,) = tracer.finished
-        assert finished.events[0]["name"] == "Admission"
-        assert finished.events[0]["attributes"] == {"task": "T7"}
+            with span("outer") as outer:
+                outer.add_event("Rejection", phase="partition", task="T1")
+                with span("inner") as inner:
+                    inner.add_event("MinprocsStep", task="T7", fits=True)
+                outer.add_event("PhaseComplete", phase="partition")
+        # Events read back across spans in recording order, with their
+        # attributes flattened beside the event name.
+        assert decision_events(tracer) == [
+            {"event": "Rejection", "phase": "partition", "task": "T1"},
+            {"event": "MinprocsStep", "task": "T7", "fits": True},
+            {"event": "PhaseComplete", "phase": "partition"},
+        ]
+        assert decision_events(tracer.to_dicts(), "MinprocsStep") == [
+            {"event": "MinprocsStep", "task": "T7", "fits": True}
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +424,12 @@ class TestFlightRecorder:
                 registry.observe("h", 2.0)
                 registry.incr("c")  # counters deliberately do NOT tap
             with span_tracing():
-                with span("s"):
-                    pass
-            with tracing() as context:
-                context.record(
-                    Admission(
-                        task="T1", kind="low_density", accepted=True, seq=1
-                    )
-                )
-            kinds = [e["kind"] for e in flight.entries()]
-        assert kinds == ["timer", "histogram", "span", "event"]
+                with span("s") as handle:
+                    handle.add_event("Rejection", task="T1")
+            entries = flight.entries()
+        # Decisions reach the ring inside the span that carries them.
+        assert [e["kind"] for e in entries] == ["timer", "histogram", "span"]
+        assert entries[-1]["data"]["events"][0]["name"] == "Rejection"
         flight.reset()
 
 
@@ -536,7 +537,7 @@ def trace_jsonl(tmp_path):
     with span_tracing() as tracer:
         with span("online.commit", op="admit"):
             with span("online.admit", task="T1") as admitting:
-                admitting.add_event("Admission", task="T1")
+                admitting.add_event("MinprocsStep", task="T1", fits=True)
     tracer.to_jsonl(path)
     return path
 
@@ -548,7 +549,8 @@ class TestObsTool:
         assert "trace trace-1" in out
         assert "online.commit" in out
         assert "online.admit" in out
-        assert "* Admission" in out
+        assert "* MinprocsStep" in out
+        assert "[fits=True task=T1]" in out
         assert "1 trace(s), 2 span(s)" in out
 
     def test_show_trace_id_filter(self, trace_jsonl, capsys):
@@ -612,14 +614,16 @@ class TestObsTool:
         recorder = FlightRecorder(capacity=4)
         recorder.enable()
         recorder.record("timer", {"name": "t", "seconds": 0.5})
-        recorder.record(
-            "event", {"event": "Admission", "task": "T1", "seq": 3}
-        )
+        with span_tracing() as tracer:
+            with span("online.admit", task="T1") as admitting:
+                admitting.set(accepted=True, seq=3)
+        recorder.record("span", tracer.finished[0])
         dump = recorder.dump(tmp_path / "dump.json", reason="unit")
         assert obs_main(["flight", str(dump), "--tail", "1"]) == 0
         out = capsys.readouterr().out
         assert "reason=unit" in out
-        assert "Admission task=T1" in out
+        assert "span: online.admit" in out
+        assert "[task=T1 accepted=True seq=3]" in out
         assert "t=0.5" not in out  # --tail 1 hides the older timer entry
 
 
